@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .closure import _require_w_stable, w_closure
@@ -118,7 +117,7 @@ def constraint_system(ideal: MonomialIdeal) -> ConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
+# double description
 
 def _primitive(vec) -> tuple[int, ...]:
     vec = tuple(vec)
@@ -126,59 +125,6 @@ def _primitive(vec) -> tuple[int, ...]:
     for v in vec:
         g = gcd(g, v)
     return tuple(v // g for v in vec) if g else vec
-
-
-def _rank(rows) -> int:
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [v - factor * p for v, p in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
-def _kernel_basis(rows, n):
-    """Integer basis of the common kernel of the given row vectors."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [v - factor * p for v, p in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        lcm = 1
-        for v in vec:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        basis.append(_primitive(int(v * lcm) for v in vec))
-    return basis
 
 
 def _monotone_seed(n):
@@ -196,115 +142,70 @@ def cone_rays(system: ConstraintSystem) -> Cone:
     Double description with exact integer arithmetic: the monotone
     non-negative cone seeds the ray set and each half-space is processed in
     turn, keeping non-negative rays and adding combinations of adjacent
-    positive/negative pairs.  Adjacency is decided by the rank of the
-    common tight constraints.  Rays come back primitive, deduplicated, in
-    lexicographic descending order.
+    positive/negative pairs.  Every ray carries the bit set of processed
+    constraints tight at it, and adjacency is the combinatorial test of
+    Fukuda and Prodon: two rays are adjacent when they share at least
+    ``n - 2`` tight constraints and no third ray is tight on all of them.
+    The seed is pointed, so the cone has no lineality space.  Rays come
+    back primitive, deduplicated, in lexicographic descending order.
     """
     n = system.nvars
-    rays, processed = _monotone_seed(n)
-    for hs in system.halfspaces:
-        a = hs.normal
+    seed_rays, seed_normals = _monotone_seed(n)
+    # ray -> bit set of the processed constraints it is tight on
+    rays = {r: sum(1 << k for k, a in enumerate(seed_normals)
+                   if not HalfSpace(a).value(r))
+            for r in seed_rays}
+    for k, hs in enumerate(system.halfspaces, start=len(seed_normals)):
         values = {r: hs.value(r) for r in rays}
-        if all(v >= 0 for v in values.values()):
-            processed.append(a)
-            continue
-        kept = [r for r in rays if values[r] >= 0]
-        new = {r for r in kept}
+        bit = 1 << k
         pos = [r for r in rays if values[r] > 0]
         neg = [r for r in rays if values[r] < 0]
+        new = {r: z | bit if not values[r] else z
+               for r, z in rays.items() if values[r] >= 0}
         for rp in pos:
             for rn in neg:
-                if not _adjacent(rp, rn, processed, n):
+                common = rays[rp] & rays[rn]
+                if common.bit_count() < n - 2 or any(
+                        r not in (rp, rn) and common & z == common
+                        for r, z in rays.items()):
                     continue
                 combo = _primitive(
                     values[rp] * x - values[rn] * y for x, y in zip(rn, rp))
-                if any(combo):
-                    new.add(combo)
-        rays = sorted(new, reverse=True)
-        processed.append(a)
-
-    lineality = _kernel_basis([hs.normal for hs in system.halfspaces] + processed, n)
-    return Cone(tuple(sorted(rays, reverse=True)), tuple(lineality))
+                new[combo] = common | bit
+        rays = new
+    return Cone(tuple(sorted(rays, reverse=True)))
 
 
-def _adjacent(rp, rn, processed, n) -> bool:
-    tight = [c for c in processed
-             if sum(x * y for x, y in zip(c, rp)) == 0
-             and sum(x * y for x, y in zip(c, rn)) == 0]
-    return _rank(tight) == n - 2 if tight else n <= 2
+def _ray_sum(system: ConstraintSystem) -> tuple[int, ...]:
+    rays = cone_rays(system).rays
+    return tuple(sum(r[p] for r in rays) for p in range(system.nvars))
 
 
 def open_region_is_empty(system: ConstraintSystem) -> bool:
-    """Decide emptiness of the strict region by Fourier-Motzkin elimination.
+    """Decide emptiness of the strict region from the extreme rays.
 
-    Strictness is tracked through every combination step, so the answer is
-    exact over the rationals; homogeneity then transfers it to lattice
-    points.
+    The closed cone is pointed, so the sum of its extreme rays lies in its
+    relative interior.  A strict constraint is positive there unless it
+    vanishes on the whole cone, so the region is empty exactly when the ray
+    sum fails it.
     """
-    if system.trivially_empty:
-        return True
-    constraints = {(hs.normal, hs.strict) for hs in system.halfspaces}
-    # a strict and a non-strict copy of the same normal: the strict one wins
-    constraints = {(nrm, st) for nrm, st in constraints
-                   if st or (nrm, True) not in constraints}
-    for pos_index in range(system.nvars):
-        nxt = set()
-        pos, neg = [], []
-        for nrm, st in constraints:
-            if nrm[pos_index] > 0:
-                pos.append((nrm, st))
-            elif nrm[pos_index] < 0:
-                neg.append((nrm, st))
-            else:
-                nxt.add((nrm, st))
-        for (np_, sp) in pos:
-            for (nn, sn) in neg:
-                combo = tuple(np_[pos_index] * b - nn[pos_index] * a
-                              for a, b in zip(np_, nn))
-                st = sp or sn
-                if not any(combo):
-                    if st:
-                        return True
-                    continue
-                nxt.add((_primitive(combo), st))
-        constraints = {(nrm, st) for nrm, st in nxt
-                       if st or (nrm, True) not in nxt}
-    return any(st for _, st in constraints)
+    return not system.open_region_contains(_ray_sum(system))
 
 
-def principal_weight_vector(ideal: MonomialIdeal, search_budget: int = 2000):
+def principal_weight_vector(ideal: MonomialIdeal):
     """A verified weight vector realizing ``ideal`` as a principal closure.
 
     Returns ``None`` when no weight vector exists (the strict region is
-    empty).  Otherwise the sum of the extreme rays of the closed cone is
-    tried first, followed by a breadth-first search over further
-    non-negative ray combinations; every candidate is verified by
-    recomputing the closure of the candidate generator before being
-    returned.
+    empty).  Otherwise returns the sum of the extreme rays of the closed
+    cone, which lies in the strict region, after verifying it by
+    recomputing the closure of the candidate generator.
     """
     system = constraint_system(ideal)
-    if open_region_is_empty(system):
+    vec = _ray_sum(system)
+    if not system.open_region_contains(vec):
         return None
-    rays = cone_rays(system).rays
-    if not rays:
-        raise RuntimeError("strict region nonempty but the closed cone has no rays")
-
-    base = tuple(sum(col) for col in zip(*rays))
-    seen = set()
-    frontier = [base]
-    for _ in range(search_budget):
-        if not frontier:
-            break
-        vec = frontier.pop(0)
-        if vec in seen:
-            continue
-        seen.add(vec)
-        frontier.extend(tuple(a + b for a, b in zip(vec, r)) for r in rays)
-        if not system.open_region_contains(vec):
-            continue
-        w = WeightVector(vec)
-        if w_closure([system.candidate], w) == ideal:
-            return w
-    raise RuntimeError(
-        "strict region nonempty but no verified weight vector found "
-        f"within the search budget ({search_budget} candidates)")
+    w = WeightVector(vec)
+    if w_closure([system.candidate], w) != ideal:
+        raise RuntimeError(
+            f"ray sum {vec} lies in the strict region but does not realize the ideal")
+    return w

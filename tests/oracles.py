@@ -8,6 +8,8 @@ oracles never call the code paths they check.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import gcd
 
 from wstable import Monomial, MonomialIdeal, WeightVector, psi
 
@@ -112,3 +114,82 @@ def random_monomial(rng, n: int, max_exponent: int = 3) -> Monomial:
 def random_weight_vector(rng, n: int, max_weight: int = 4) -> WeightVector:
     ws = sorted((rng.randint(1, max_weight) for _ in range(n)), reverse=True)
     return WeightVector(tuple(ws))
+
+
+# ---------------------------------------------------------------------------
+# cones, on plain integer tuples and independent of ``wstable``
+
+def primitive(vec) -> tuple[int, ...]:
+    """The vector divided by the gcd of its entries."""
+    vec = tuple(vec)
+    g = 0
+    for v in vec:
+        g = gcd(g, v)
+    return tuple(v // g for v in vec) if g else vec
+
+
+def _row_reduce(rows, n: int):
+    """Reduced row echelon form over the rationals, and its pivot columns."""
+    mat = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [v * inv for v in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [v - factor * p for v, p in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
+def rank(rows, n: int) -> int:
+    return len(_row_reduce(rows, n)[1])
+
+
+def kernel_basis(rows, n: int):
+    """Primitive integer basis of the common kernel of the given row vectors."""
+    mat, pivots = _row_reduce(rows, n)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][free]
+        lcm = 1
+        for v in vec:
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
+        basis.append(primitive(int(v * lcm) for v in vec))
+    return basis
+
+
+def fourier_motzkin_is_empty(constraints, n: int) -> bool:
+    """Whether ``{w : a.w >= 0, and > 0 where strict}`` is empty.
+
+    ``constraints`` are ``(normal, strict)`` pairs.  Fourier-Motzkin
+    elimination of every coordinate, tracking strictness through each
+    combination, so the answer is exact over the rationals.
+    """
+    def keep_strict(cs):
+        # a strict and a non-strict copy of the same normal: the strict one wins
+        return {(a, st) for a, st in cs if st or (a, True) not in cs}
+
+    constraints = keep_strict({(tuple(a), st) for a, st in constraints})
+    for col in range(n):
+        nxt = {(a, st) for a, st in constraints if not a[col]}
+        pos = [(a, st) for a, st in constraints if a[col] > 0]
+        neg = [(a, st) for a, st in constraints if a[col] < 0]
+        for ap, sp in pos:
+            for an, sn in neg:
+                combo = tuple(ap[col] * y - an[col] * x for x, y in zip(ap, an))
+                if any(combo):
+                    nxt.add((primitive(combo), sp or sn))
+                elif sp or sn:
+                    return True
+        constraints = keep_strict(nxt)
+    return any(st for _, st in constraints)

@@ -132,6 +132,7 @@ def test_bgens_nested_in_generators():
         unweighted = w_borel_gens(ideal, WeightVector.ones(3))
         assert weighted <= unweighted <= ideal.gens
         assert w_closure(weighted, w) == ideal
+        assert w_closure(unweighted, WeightVector.ones(3)) == ideal
 
 
 def test_trunc_ideal_known_values():

@@ -5,7 +5,13 @@ import random
 import pytest
 
 import golden
-from oracles import random_monomial
+from oracles import (
+    fourier_motzkin_is_empty,
+    kernel_basis,
+    primitive,
+    random_monomial,
+    rank,
+)
 from wstable import (
     HalfSpace,
     Monomial,
@@ -16,6 +22,7 @@ from wstable import (
     constraint_system,
     open_region_is_empty,
     parse_ideal,
+    parse_monomial,
     principal_weight_vector,
     w_closure,
 )
@@ -94,21 +101,20 @@ def _brute_force_rays(system):
     """
     import itertools
 
-    from wstable.cone import _kernel_basis, _monotone_seed, _primitive, _rank
     n = system.nvars
     normals = [hs.normal for hs in system.halfspaces] + _monotone_seed(n)[1]
     rays = set()
     for subset in itertools.combinations(range(len(normals)), n - 1):
-        basis = _kernel_basis([normals[k] for k in subset], n)
+        basis = kernel_basis([normals[k] for k in subset], n)
         if len(basis) != 1:
             continue
         for sign in (1, -1):
-            vec = _primitive(sign * c for c in basis[0])
+            vec = primitive(sign * c for c in basis[0])
             if not all(sum(a * b for a, b in zip(nm, vec)) >= 0 for nm in normals):
                 continue
             tight = [nm for nm in normals
                      if sum(a * b for a, b in zip(nm, vec)) == 0]
-            if _rank(tight) == n - 1:
+            if rank(tight, n) == n - 1:
                 rays.add(vec)
     return rays
 
@@ -234,3 +240,34 @@ def test_emptiness_agrees_with_search_on_small_grid():
         else:
             vector = principal_weight_vector(ideal)
             assert vector is not None
+
+
+def test_emptiness_matches_fourier_motzkin_oracle():
+    """The ray-sum decision agrees with Fourier-Motzkin elimination, n <= 3."""
+    rng = random.Random(83)
+    tried = empty = 0
+    while tried < 200:
+        n = rng.choice((2, 3))
+        ideal = _random_strongly_stable(rng, n, 3)
+        if ideal.is_zero():
+            continue
+        tried += 1
+        system = constraint_system(ideal)
+        expected = system.trivially_empty or fourier_motzkin_is_empty(
+            [(hs.normal, hs.strict) for hs in system.halfspaces], n)
+        empty += expected
+        assert open_region_is_empty(system) == expected, ideal
+        assert (principal_weight_vector(ideal) is None) == expected, ideal
+    assert 0 < empty < tried
+
+
+@pytest.mark.parametrize("nvars, seeds, expected", [
+    (4, ("x2*x3*x4^3",), (13, 12, 11, 10)),
+    (5, ("x1^3*x2^3*x3^2*x4^2*x5", "x1*x2*x4^2*x5^3"), (20, 19, 18, 17, 16)),
+])
+def test_principal_weight_vector_where_elimination_was_slow(nvars, seeds, expected):
+    ideal = w_closure([parse_monomial(s, nvars) for s in seeds],
+                      WeightVector.ones(nvars))
+    found = principal_weight_vector(ideal)
+    assert tuple(found) == expected
+    assert w_closure([ideal.lex_smallest_gen()], found) == ideal
