@@ -47,11 +47,19 @@ def is_w_stable(ideal: MonomialIdeal, w: WeightVector) -> bool:
     return w_closure(ideal, w).gens == ideal.gens
 
 
-def _require_w_stable(ideal: MonomialIdeal, w: WeightVector):
+def _check_w_stable(ideal: MonomialIdeal, w: WeightVector) -> None:
     closed = w_closure(ideal, w)
     if closed.gens != ideal.gens:
         witness = next(g for g in closed.sorted_gens() if g not in ideal.gens)
         raise NotWStableError(w, witness)
+
+
+def _require_w_stable(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
+    """Check stability with one closure and return the weighted Borel generators."""
+    _check_w_stable(ideal, w)
+    return frozenset(
+        g for g in ideal.gens
+        if not any(h != g and w_borel_below(h, g, w) for h in ideal.gens))
 
 
 def w_borel_gens(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
@@ -60,10 +68,7 @@ def w_borel_gens(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
     These are the minimal generators with no other generator below them in
     the weighted Borel order.  Requires a weighted-stable input.
     """
-    _require_w_stable(ideal, w)
-    return frozenset(
-        g for g in ideal.gens
-        if not any(h != g and w_borel_below(h, g, w) for h in ideal.gens))
+    return _require_w_stable(ideal, w)
 
 
 def trunc_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .catalan import catalan_diagram
-from .closure import _require_w_stable, w_borel_gens, w_closure, trunc_ideal
+from .closure import _require_w_stable, w_closure, trunc_ideal
 from .ideals import MonomialIdeal
 from .monomials import (
     Monomial,
@@ -22,7 +22,8 @@ from .trees import tree_from_monomial
 
 
 # ---------------------------------------------------------------------------
-# small sparse-polynomial helpers (dict degree -> coefficient)
+# sparse-polynomial helpers: dicts from exponents to coefficients.  Sums
+# accept any exponent keys; products add exponent tuples componentwise.
 
 def _poly_add(a, b):
     out = dict(a)
@@ -37,13 +38,9 @@ def _poly_mul(a, b):
     out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            k = ka + kb
+            k = tuple(x + y for x, y in zip(ka, kb))
             out[k] = out.get(k, 0) + va * vb
     return {k: v for k, v in out.items() if v}
-
-
-def _poly_scale_shift(p, coeff, shift):
-    return {k + shift: coeff * v for k, v in p.items()}
 
 
 def format_univariate(p, var="t") -> str:
@@ -120,13 +117,12 @@ def stanley_decomposition(ideal: MonomialIdeal, w: WeightVector) -> StanleyDecom
     branching indices it does not use.  Other ideals go through the
     truncation filtration of the substituted Borel closure.
     """
-    _require_w_stable(ideal, w)
+    bgens = _require_w_stable(ideal, w)
     n = ideal.nvars
     if ideal.is_zero():
         pieces = ((Monomial.unit(n), frozenset(range(1, n + 1))),)
         return StanleyDecomposition(n, w, pieces)
 
-    bgens = w_borel_gens(ideal, w)
     if len(bgens) == 1:
         pieces = _principal_pieces(next(iter(bgens)), w)
     else:
@@ -224,40 +220,22 @@ class HilbertSeries:
 def hilbert_series(ideal: MonomialIdeal, w: WeightVector) -> HilbertSeries:
     """Hilbert series of the quotient, graded by the weight vector.
 
-    Principal closures use the Catalan diagram: row sums below the weighted
-    degree give the term counts and the truncation indices give the free
-    denominator blocks.  Other weighted-stable ideals sum the Stanley
-    decomposition over the common denominator.
+    The numerator over ``prod_j (1 - t^{w_j})`` is ``1 + P(-1, t)``, where
+    ``P`` is the Poincare polynomial summed over the minimal generators
+    (Eliahou-Kervaire).  For principal closures the Catalan diagram also
+    gives the structured terms: row sums below the weighted degree give the
+    term counts and the truncation indices give the free denominator blocks.
     """
-    _require_w_stable(ideal, w)
-    bgens = None if ideal.is_zero() else w_borel_gens(ideal, w)
-    if bgens is not None and len(bgens) == 1:
-        m = next(iter(bgens))
+    bgens = _require_w_stable(ideal, w)
+    numerator = _poly_add({0: 1}, _poincare(ideal, w).at_u(-1))
+    terms = None
+    if len(bgens) == 1:
+        (m,) = bgens
         diagram = catalan_diagram(m, w)
         image = psi(m, w)
-        terms = []
-        for s in range(diagram.degree):
-            c = diagram.row_sum(s)
-            if c:
-                terms.append((c, s, max_index(truncate(image, s + 1))))
-        numerator = {}
-        for c, s, k in terms:
-            block = {0: c}
-            for j in range(k):
-                block = _poly_mul(block, {0: 1, w[j]: -1})
-            numerator = _poly_add(numerator, _poly_scale_shift(block, 1, s))
-        return HilbertSeries(w, numerator, tuple(terms))
-
-    decomposition = stanley_decomposition(ideal, w)
-    numerator = {}
-    for coset, free in decomposition.pieces:
-        block = {0: 1}
-        for j in range(1, w.nvars + 1):
-            if j not in free:
-                block = _poly_mul(block, {0: 1, w[j - 1]: -1})
-        numerator = _poly_add(
-            numerator, _poly_scale_shift(block, 1, weighted_degree(coset, w)))
-    return HilbertSeries(w, numerator, None)
+        terms = tuple((diagram.row_sum(s), s, max_index(truncate(image, s + 1)))
+                      for s in range(diagram.degree) if diagram.row_sum(s))
+    return HilbertSeries(w, numerator, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -304,70 +282,37 @@ def poincare_series(ideal: MonomialIdeal, w: WeightVector) -> PoincarePolynomial
 
     Each minimal generator of weighted degree d and maximal index q
     contributes ``u t^d`` times the product of ``1 + u t^{w_k}`` over
-    k < q.  For principal closures the same polynomial is recomputed from
-    the generator rows of the Catalan diagram as a consistency check.
+    k < q, the Eliahou-Kervaire resolution in weighted form.
     """
     _require_w_stable(ideal, w)
-    coeffs = {}
-    for g in ideal.gens:
-        coeffs = _biv_add(coeffs, _generator_contribution(
-            weighted_degree(g, w), max_index(g), w))
-    result = PoincarePolynomial(coeffs)
+    return _poincare(ideal, w)
 
-    bgens = None if ideal.is_zero() else w_borel_gens(ideal, w)
-    if bgens is not None and len(bgens) == 1:
-        diagram = catalan_diagram(next(iter(bgens)), w)
-        alt = {}
-        for a in range(diagram.degree, len(diagram.rows)):
-            for b in range(1, diagram.nvars + 1):
-                q = diagram.entry(a, b)
-                if q:
-                    alt = _biv_add(alt, _generator_contribution(a, b, w, count=q))
-        if alt != coeffs:
-            raise AssertionError(
-                "generator-sum and diagram forms of the Poincare series disagree")
-    return result
+
+def _poincare(ideal: MonomialIdeal, w: WeightVector) -> PoincarePolynomial:
+    shapes = Counter((weighted_degree(g, w), max_index(g)) for g in ideal.gens)
+    coeffs = {}
+    for (degree, maxidx), count in shapes.items():
+        coeffs = _poly_add(coeffs, _generator_contribution(degree, maxidx, w, count))
+    return PoincarePolynomial(coeffs)
 
 
 def _generator_contribution(degree, maxidx, w, count=1):
     term = {(1, degree): count}
     for k in range(maxidx - 1):
-        term = _biv_mul(term, {(0, 0): 1, (1, w[k]): 1})
+        term = _poly_mul(term, {(0, 0): 1, (1, w[k]): 1})
     return term
-
-
-def _biv_add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _biv_mul(a, b):
-    out = {}
-    for (ia, ja), va in a.items():
-        for (ib, jb), vb in b.items():
-            key = (ia + ib, ja + jb)
-            out[key] = out.get(key, 0) + va * vb
-    return {k: v for k, v in out.items() if v}
 
 
 def betti_numbers(ideal: MonomialIdeal, w: WeightVector):
     """Total and graded Betti numbers of a weighted-stable ideal.
 
-    Totals come from the binomial formula over generator maximal indices
-    (independent of the weights); the graded table is the Poincare
-    polynomial.  Returns ``(totals, graded)`` with ``totals[i-1]`` the
-    rank of the i-th step, i = 1 corresponding to minimal generators.
+    The graded table is the Poincare polynomial and the totals are its
+    column sums, so they depend only on the generators' maximal indices,
+    not on the weights.  Returns ``(totals, graded)`` with ``totals[i-1]``
+    the rank of the i-th step, i = 1 corresponding to minimal generators.
     """
-    _require_w_stable(ideal, w)
-    n = ideal.nvars
-    totals = tuple(
-        sum(math.comb(max_index(g) - 1, i - 1) for g in ideal.gens)
-        for i in range(1, n + 1))
-    return totals, poincare_series(ideal, w)
+    graded = poincare_series(ideal, w)
+    return tuple(graded.total(i) for i in range(1, ideal.nvars + 1)), graded
 
 
 def format_betti_table(poincare: PoincarePolynomial, nvars: int) -> str:

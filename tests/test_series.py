@@ -1,6 +1,7 @@
 """Stanley decompositions, Hilbert series, Poincare series, Betti numbers."""
 
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,7 @@ from wstable import (
     parse_monomial,
     poincare_series,
     stanley_decomposition,
+    w_borel_gens,
     w_closure,
     weighted_degree,
 )
@@ -155,6 +157,65 @@ def test_hilbert_matches_counting_random_principal():
         if series.terms is not None:
             assert series.expansion_from_terms(20) == series.expansion(20)
         checked += 1
+
+
+def _non_principal_cases(seed, count):
+    """Seeded weighted closures of 2-3 monomials that are not principal."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        n = rng.choice((2, 3))
+        w = random_weight_vector(rng, n)
+        ideal = w_closure([random_monomial(rng, n, 2)
+                           for _ in range(rng.randint(2, 3))], w)
+        if len(w_borel_gens(ideal, w)) >= 2:
+            cases.append((ideal, w))
+    return cases
+
+
+def test_hilbert_matches_counting_random_non_principal():
+    for ideal, w in _non_principal_cases(67, 15):
+        series = hilbert_series(ideal, w)
+        assert series.terms is None
+        assert series.expansion(20) == complement_counts(ideal, w, 20)
+
+
+def _stanley_numerator(decomposition, w):
+    """Sum the pieces over the common denominator ``prod_j (1 - t^{w_j})``."""
+    numerator = {}
+    for coset, free in decomposition.pieces:
+        block = {weighted_degree(coset, w): 1}
+        for j in range(1, w.nvars + 1):
+            if j not in free:
+                shifted = {d + w[j - 1]: -c for d, c in block.items()}
+                for d, c in shifted.items():
+                    block[d] = block.get(d, 0) + c
+        for d, c in block.items():
+            numerator[d] = numerator.get(d, 0) + c
+    return {d: c for d, c in numerator.items() if c}
+
+
+def test_hilbert_numerator_matches_stanley_sum():
+    """The generator formula and the Stanley decomposition give one numerator."""
+    cases = _non_principal_cases(71, 15) + [
+        (closure_321(), golden.W321), (closure_ones(), golden.ONES3)]
+    for ideal, w in cases:
+        assert (_stanley_numerator(stanley_decomposition(ideal, w), w)
+                == hilbert_series(ideal, w).numerator)
+
+
+@pytest.mark.parametrize("weights, seeds", [
+    ((3, 3, 3, 1), "x2^2*x3^2*x4^2, x1*x2*x3*x4"),
+    ((3, 2, 2, 1), "x1*x2^2*x3^2*x4^2, x1^2*x2*x3^2"),
+])
+def test_hilbert_non_principal_runs_fast(weights, seeds):
+    """Two closures whose Hilbert series once took seconds through Stanley pieces."""
+    w = WeightVector(weights)
+    ideal = w_closure(parse_ideal(seeds, 4).gens, w)
+    start = time.perf_counter()
+    series = hilbert_series(ideal, w)
+    assert time.perf_counter() - start < 1.0
+    assert series.expansion(20) == complement_counts(ideal, w, 20)
 
 
 def test_hilbert_rejects_unstable_input():
