@@ -1,10 +1,17 @@
-"""Weighted Borel closures, stability tests, and weighted Borel generators."""
+"""Weighted Borel closures, stability tests, and weighted Borel generators.
+
+The core works on exponent tuples.  With the weighted prefix sums
+``P(u)_k = sum_{i<=k} w_i * u_i``, a monomial ``u`` lies in the weighted
+closure of ``s`` exactly when ``P(u) >= P(s)`` componentwise.  So the
+closure of a set is the closure of its dominance-minimal elements, its
+weighted Borel generators, and only those are expanded.
+"""
 
 from __future__ import annotations
 
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, truncate, w_borel_below
-from .trees import iter_tree_sinks
+from .monomials import Monomial, WeightVector, _check_nvars, _prefix_below, _prefix_sums, truncate
+from .trees import _expand
 
 
 class NotWStableError(ValueError):
@@ -23,50 +30,105 @@ class NotWStableError(ValueError):
             f"{format_monomial(witness)} is missing")
 
 
-def _gens_of(monomials):
+def _exponents(monomials, w: WeightVector) -> list[tuple[int, ...]]:
     if isinstance(monomials, MonomialIdeal):
-        return monomials.gens
-    return monomials
+        monomials = monomials.gens
+    out = []
+    for m in monomials:
+        _check_nvars(m, w)
+        out.append(m.exponents)
+    return out
+
+
+def _borel_gens(gens, w: WeightVector):
+    """``(exponents, prefix sums)`` of the dominance-minimal exponent vectors.
+
+    In (weighted degree, exponents) order a vector comes after every other
+    vector whose prefix sums are at most its own, so one pass against the
+    vectors kept so far finds them.
+    """
+    kept = []
+    for e, p in sorted(((e, _prefix_sums(e, w)) for e in set(gens)),
+                       key=lambda ep: (ep[1][-1], ep[0])):
+        if not any(_prefix_below(q, p) for _, q in kept):
+            kept.append((e, p))
+    return kept
+
+
+def _close(bgens, w: WeightVector) -> set[tuple[int, ...]]:
+    """Minimal generators of the closure of dominance-minimal ``bgens``."""
+    weights = tuple(w)
+    prefixes = [p for _, p in bgens]
+    closed = set()
+    for b, p in bgens:
+        for u, kids in _expand(b, weights, p[-1]):
+            if not kids and (len(bgens) == 1
+                             or not _has_divisor_in_closure(u, weights, prefixes)):
+                closed.add(u)
+    return closed
+
+
+def _has_divisor_in_closure(u, weights, prefixes) -> bool:
+    """Whether some ``u / x_i`` dominates one of the prefix-sum vectors."""
+    pu = _prefix_sums(u, weights)
+    for i, e in enumerate(u):
+        if e:
+            lowered = pu[:i] + tuple(q - weights[i] for q in pu[i:])
+            if any(_prefix_below(q, lowered) for q in prefixes):
+                return True
+    return False
+
+
+def _stability(ideal: MonomialIdeal, w: WeightVector):
+    """The weighted Borel generators of ``ideal`` and the closure generators it lacks."""
+    gens = _exponents(ideal, w)
+    bgens = _borel_gens(gens, w)
+    return bgens, _close(bgens, w).difference(gens)
 
 
 def w_closure(monomials, w: WeightVector) -> MonomialIdeal:
     """Smallest weighted-stable ideal containing the given monomials.
 
-    Computed one monomial at a time: the minimal generators of a principal
-    closure are the sinks of the monomial's truncation tree, and closures
-    of unions are sums of principal closures.
+    Only the weighted Borel generators of the input (its elements not
+    dominating another) are expanded.  The truncation-tree sinks of one
+    are the minimal generators of its principal closure; with several, a
+    sink is dropped when some ``u / x_i`` still lies in the closure.  The
+    result is minimal as built, so no ``minimalize`` runs.
     """
-    gens = []
-    for m in _gens_of(monomials):
-        gens.extend(iter_tree_sinks(m, w))
-    return MonomialIdeal(w.nvars, gens)
+    closed = _close(_borel_gens(_exponents(monomials, w), w), w)
+    return MonomialIdeal._minimal(w.nvars, map(Monomial, closed))
 
 
 def is_w_stable(ideal: MonomialIdeal, w: WeightVector) -> bool:
-    """Whether ``ideal`` equals its weighted Borel closure."""
-    return w_closure(ideal, w).gens == ideal.gens
+    """Whether ``ideal`` equals its weighted Borel closure.
 
-
-def _check_w_stable(ideal: MonomialIdeal, w: WeightVector) -> None:
-    closed = w_closure(ideal, w)
-    if closed.gens != ideal.gens:
-        witness = next(g for g in closed.sorted_gens() if g not in ideal.gens)
-        raise NotWStableError(w, witness)
+    The closure is computed from the ideal's weighted Borel generators only;
+    the ideal is stable exactly when that closure has no generator the
+    ideal lacks.
+    """
+    return not _stability(ideal, w)[1]
 
 
 def _require_w_stable(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
-    """Check stability with one closure and return the weighted Borel generators."""
-    _check_w_stable(ideal, w)
-    return frozenset(
-        g for g in ideal.gens
-        if not any(h != g and w_borel_below(h, g, w) for h in ideal.gens))
+    """Check stability with one closure and return the weighted Borel generators.
+
+    The witness of a failure is the first missing generator of the closure
+    in graded-lex descending order.
+    """
+    bgens, missing = _stability(ideal, w)
+    if missing:
+        raise NotWStableError(w, Monomial(max(missing, key=lambda u: (sum(u), u))))
+    return frozenset(Monomial(b) for b, _ in bgens)
 
 
 def w_borel_gens(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
     """The unique minimal set of monomials whose weighted closure is ``ideal``.
 
-    These are the minimal generators with no other generator below them in
-    the weighted Borel order.  Requires a weighted-stable input.
+    These are the minimal generators outside the closure of every other
+    generator: no other generator's weighted prefix sums are componentwise
+    at most theirs.  One pass in (weighted degree, exponents) order finds
+    them, and stability is checked by closing only them.  Requires a
+    weighted-stable input.
     """
     return _require_w_stable(ideal, w)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .closure import _check_w_stable, w_closure
+from .closure import _require_w_stable, w_closure
 from .ideals import MonomialIdeal
 from .monomials import Monomial, WeightVector, max_index
 from .trees import tree_from_ideal
@@ -72,7 +72,7 @@ def constraint_system(ideal: MonomialIdeal) -> ConstraintSystem:
     candidate's substituted image.  Vacuously true conditions are dropped.
     """
     n = ideal.nvars
-    _check_w_stable(ideal, WeightVector.ones(n))
+    _require_w_stable(ideal, WeightVector.ones(n))
     if ideal.is_zero():
         raise ValueError("the zero ideal has no candidate generator")
     m = ideal.lex_smallest_gen()

@@ -38,6 +38,14 @@ class MonomialIdeal:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "gens", frozenset(minimalize(gens)))
 
+    @classmethod
+    def _minimal(cls, nvars: int, gens) -> "MonomialIdeal":
+        """Wrap generators already known to be minimal, skipping ``minimalize``."""
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "nvars", nvars)
+        object.__setattr__(ideal, "gens", frozenset(gens))
+        return ideal
+
     def __setattr__(self, name, value):
         raise AttributeError("MonomialIdeal is immutable")
 

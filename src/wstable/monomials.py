@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 
 class DimensionMismatch(ValueError):
@@ -194,20 +196,33 @@ def max_index(u: Monomial) -> int:
     return 1
 
 
+def _prefix_sums(exponents, weights) -> tuple[int, ...]:
+    """Weighted prefix sums ``P(u)_k = sum_{i<=k} w_i * u_i`` of an exponent vector.
+
+    ``P(u)_k`` counts the factors of index at most ``k`` in the substituted
+    image of ``u``, so the last entry is the weighted degree.
+    """
+    return tuple(accumulate(map(mul, weights, exponents)))
+
+
+def _prefix_below(low, high) -> bool:
+    """Whether ``low <= high`` componentwise, on two prefix-sum vectors."""
+    return all(a <= b for a, b in zip(low, high))
+
+
 def w_borel_below(m: Monomial, u: Monomial, w: WeightVector) -> bool:
     """Whether ``u`` lies above ``m`` in the weighted Borel order.
 
-    Compares the factored forms of the substituted images: ``u`` dominates
-    ``m`` when its image has at least the degree of the image of ``m`` and
-    its k-th factor index is no larger, position by position.  Equal
-    monomials compare True.
+    ``u`` dominates ``m`` when every weighted prefix sum of ``u`` is at
+    least that of ``m``: ``P(u) >= P(m)`` componentwise.  This is the
+    factored-form comparison of the substituted images (``u``'s image is
+    at least as long and its k-th factor index is no larger, position by
+    position), since ``P(u)_k`` counts the image's factors of index at
+    most ``k``.  Equal monomials compare True.
     """
     _check_nvars(m, u)
-    fm = factored_indices(psi(m, w))
-    fu = factored_indices(psi(u, w))
-    if len(fu) < len(fm):
-        return False
-    return all(fu[k] <= fm[k] for k in range(len(fm)))
+    _check_nvars(m, w)
+    return _prefix_below(_prefix_sums(m.exponents, w), _prefix_sums(u.exponents, w))
 
 
 def meet_w(u: Monomial, v: Monomial, w: WeightVector):

@@ -10,10 +10,8 @@ from .monomials import (
     Monomial,
     WeightVector,
     _check_nvars,
+    _prefix_sums,
     factored_indices,
-    max_index,
-    psi,
-    truncate,
     weighted_degree,
 )
 
@@ -85,6 +83,33 @@ class TruncationTree:
         return lines
 
 
+def _expand(exponents, weights, bound: int):
+    """Breadth-first ``(vertex, children)`` pairs of a truncation tree, on exponent tuples.
+
+    A vertex of weighted degree ``d < bound`` appends ``x_j`` for ``j`` from
+    its maximal index up to the (d+1)-st factor index of the substituted
+    image of the seed: the least ``k`` with ``P_k > d`` for the seed's
+    weighted prefix sums ``P``, or the image's maximal index past its
+    degree.  These limits grow with ``d``, so every vertex below the bound
+    has a child and the sinks are the vertices at or above it.
+    """
+    weights = tuple(weights)
+    prefix = _prefix_sums(exponents, weights)
+    top = max((i for i, e in enumerate(exponents, start=1) if e), default=1)
+    jmax = [next((k for k, p in enumerate(prefix, start=1) if p > d), top)
+            for d in range(bound)]
+    queue = deque([((0,) * len(exponents), 0, 1)])  # vertex, weighted degree, max index
+    while queue:
+        v, dv, lo = queue.popleft()
+        kids = []
+        if dv < bound:
+            for j in range(lo, jmax[dv] + 1):
+                child = v[:j - 1] + (v[j - 1] + 1,) + v[j:]
+                kids.append(child)
+                queue.append((child, dv + weights[j - 1], j))
+        yield v, kids
+
+
 def tree_from_monomial(m: Monomial, w: WeightVector, bound: int | None = None) -> TruncationTree:
     """The branching tree of the principal weighted closure of ``m``.
 
@@ -97,21 +122,11 @@ def tree_from_monomial(m: Monomial, w: WeightVector, bound: int | None = None) -
     _check_nvars(m, w)
     if bound is None:
         bound = weighted_degree(m, w)
-    image = psi(m, w)
-    root = Monomial.unit(m.nvars)
     edges = set()
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        dv = weighted_degree(v, w)
-        if dv >= bound:
-            continue
-        jmax = max_index(truncate(image, dv + 1))
-        for j in range(max_index(v), jmax + 1):
-            child = v.times_variable(j)
-            edges.add((v, child))
-            queue.append(child)
-    return TruncationTree(root, frozenset(edges), bound)
+    for v, kids in _expand(m.exponents, w, bound):
+        parent = Monomial(v)
+        edges.update((parent, Monomial(c)) for c in kids)
+    return TruncationTree(Monomial.unit(m.nvars), frozenset(edges), bound)
 
 
 def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
@@ -119,17 +134,9 @@ def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
     _check_nvars(m, w)
     if bound is None:
         bound = weighted_degree(m, w)
-    image = psi(m, w)
-    queue = deque([Monomial.unit(m.nvars)])
-    while queue:
-        v = queue.popleft()
-        dv = weighted_degree(v, w)
-        if dv >= bound:
-            yield v
-            continue
-        jmax = max_index(truncate(image, dv + 1))
-        for j in range(max_index(v), jmax + 1):
-            queue.append(v.times_variable(j))
+    for v, kids in _expand(m.exponents, w, bound):
+        if not kids:
+            yield Monomial(v)
 
 
 def tree_from_ideal(ideal: MonomialIdeal) -> TruncationTree:

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to validate the library.
 
 Everything here is deliberately naive: single Borel moves to a fixpoint,
-direct monomial enumeration, and membership tests by divisibility.  The
-oracles never call the code paths they check.
+direct monomial enumeration, and membership tests by divisibility, all on
+plain exponent tuples.  The oracles never call the code paths they check:
+``wstable`` supplies only the ``Monomial``, ``MonomialIdeal`` and
+``WeightVector`` containers that they return.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from wstable import Monomial, MonomialIdeal, WeightVector, psi
+from wstable import Monomial, MonomialIdeal, WeightVector
 
 
 def monomials_of_degree(n: int, d: int):
@@ -42,29 +44,55 @@ def monomials_of_weighted_degree(n: int, w: WeightVector, t: int):
             yield Monomial((e,) + rest.exponents)
 
 
-def single_borel_moves(m: Monomial):
-    """All monomials obtained from m by one exchange x_j -> x_i with i < j."""
-    for j in range(2, m.nvars + 1):
-        if m.exponents[j - 1] == 0:
-            continue
-        for i in range(1, j):
-            exps = list(m.exponents)
-            exps[j - 1] -= 1
-            exps[i - 1] += 1
-            yield Monomial(tuple(exps))
+def _moves(exps):
+    """Exponent tuples reached from ``exps`` by one exchange x_j -> x_i with i < j."""
+    for j in range(1, len(exps)):
+        if exps[j]:
+            for i in range(j):
+                moved = list(exps)
+                moved[j] -= 1
+                moved[i] += 1
+                yield tuple(moved)
+
+
+def _move_fixpoint(vectors):
+    """Exponent tuples reached from ``vectors`` by single Borel moves."""
+    reached = set(vectors)
+    frontier = list(reached)
+    while frontier:
+        for moved in _moves(frontier.pop()):
+            if moved not in reached:
+                reached.add(moved)
+                frontier.append(moved)
+    return reached
+
+
+def _divides(a, b) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _in_ideal(u, gens) -> bool:
+    return any(_divides(g, u) for g in gens)
+
+
+def _minimal_exponents(vectors) -> set[tuple[int, ...]]:
+    """The divisibility-minimal exponent tuples, by a pairwise scan."""
+    vectors = set(vectors)
+    return {a for a in vectors if not any(b != a and _divides(b, a) for b in vectors)}
+
+
+def _ideal(n: int, vectors) -> MonomialIdeal:
+    # the generators are minimal already, so the library's minimalize is skipped
+    return MonomialIdeal._minimal(n, (Monomial(v) for v in _minimal_exponents(vectors)))
 
 
 def borel_closure_by_moves(monomials, n: int) -> MonomialIdeal:
     """Strongly stable closure as the fixpoint of single Borel moves."""
-    reached = set(monomials)
-    frontier = list(reached)
-    while frontier:
-        m = frontier.pop()
-        for moved in single_borel_moves(m):
-            if moved not in reached:
-                reached.add(moved)
-                frontier.append(moved)
-    return MonomialIdeal(n, reached)
+    return _ideal(n, _move_fixpoint(m.exponents for m in monomials))
+
+
+def _psi(exps, w):
+    return tuple(wi * e for wi, e in zip(w, exps))
 
 
 def in_w_closure_oracle(u: Monomial, gens, w: WeightVector) -> bool:
@@ -74,23 +102,36 @@ def in_w_closure_oracle(u: Monomial, gens, w: WeightVector) -> bool:
     move-fixpoint closure there, and tests divisibility membership of the
     substituted image.
     """
-    image_ideal = borel_closure_by_moves([psi(g, w) for g in gens], w.nvars)
-    return image_ideal.contains(psi(u, w))
+    reached = _move_fixpoint(_psi(g.exponents, w) for g in gens)
+    return _in_ideal(_psi(u.exponents, w), reached)
+
+
+def w_closure_oracle(gens, w: WeightVector) -> MonomialIdeal:
+    """The weighted closure of ``gens`` by the definition.
+
+    The move fixpoint of the substituted images generates their standard
+    closure; its pullback is generated by the vectors ``ceil(r_i / w_i)``.
+    """
+    reached = _move_fixpoint(_psi(g.exponents, w) for g in gens)
+    pulled = {tuple(-(-r // wi) for r, wi in zip(v, w)) for v in reached}
+    return _ideal(w.nvars, pulled)
 
 
 def complement_counts(ideal: MonomialIdeal, w: WeightVector, bound: int):
     """Number of monomials outside the ideal, per weighted degree 0..bound."""
+    gens = [g.exponents for g in ideal.gens]
     counts = []
     for t in range(bound + 1):
         counts.append(sum(1 for m in monomials_of_weighted_degree(ideal.nvars, w, t)
-                          if not ideal.contains(m)))
+                          if not _in_ideal(m.exponents, gens)))
     return counts
 
 
 def ideal_monomials_up_to_degree(ideal: MonomialIdeal, max_degree: int):
     """All members of the ideal with total degree at most ``max_degree``."""
+    gens = [g.exponents for g in ideal.gens]
     for m in all_monomials(ideal.nvars, max_degree):
-        if ideal.contains(m):
+        if _in_ideal(m.exponents, gens):
             yield m
 
 

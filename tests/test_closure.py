@@ -1,8 +1,13 @@
 """Weighted closures, stability, weighted Borel generators, and truncations."""
 
 import random
+import signal
+from contextlib import contextmanager
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from oracles import (
@@ -12,6 +17,7 @@ from oracles import (
     in_w_closure_oracle,
     random_monomial,
     random_weight_vector,
+    w_closure_oracle,
 )
 from wstable import (
     Monomial,
@@ -160,3 +166,105 @@ def test_trunc_ideal_matches_elementwise_oracle():
 def test_trunc_ideal_golden_derived():
     ideal = w_closure([Monomial((1, 3))], golden.ONES2)
     assert trunc_ideal(ideal, 2) == w_closure([Monomial((1, 1))], golden.ONES2)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the move-fixpoint oracle
+
+# Examples take well under 0.5 s; the deadline turns a closure that keeps
+# too many Borel generators, and so runs quadratically, into a failure.
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=120,
+                        deadline=timedelta(seconds=5))
+
+
+@st.composite
+def weighted_seeds(draw):
+    """A weight vector and 1-3 seeds: n <= 4, exponents <= 3, weights <= 3.
+
+    Half the cases are standard graded, where the first prefix sum moves in
+    steps of one.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        weights = [1] * n
+    else:
+        weights = sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), reverse=True)
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    seeds = draw(st.lists(exponents, min_size=1, max_size=3))
+    return WeightVector(tuple(weights)), [Monomial(s) for s in seeds]
+
+
+def _first_missing(closed, ideal):
+    """The first generator of ``closed``, in graded-lex descending order, not in ``ideal``."""
+    return max((g for g in closed.gens if g not in ideal.gens),
+               key=lambda m: (m.degree(), m.exponents))
+
+
+def _check_against_oracle(ideal, w):
+    """Stability and the witness or Borel generators of ``ideal``, from the oracle."""
+    closed = w_closure_oracle(ideal.gens, w)
+    stable = closed == ideal
+    assert is_w_stable(ideal, w) == stable
+    if not stable:
+        with pytest.raises(NotWStableError) as info:
+            w_borel_gens(ideal, w)
+        assert info.value.witness == _first_missing(closed, ideal)
+        return
+    bgens = w_borel_gens(ideal, w)
+    # the unique subset of generators that closes to the ideal and has no
+    # redundant element
+    assert bgens <= ideal.gens
+    assert w_closure_oracle(bgens, w) == ideal
+    for b in bgens:
+        assert w_closure_oracle(bgens - {b}, w) != ideal
+
+
+@DIFFERENTIAL
+@given(weighted_seeds())
+def test_closure_matches_move_fixpoint_oracle(case):
+    w, seeds = case
+    assert w_closure(seeds, w) == w_closure_oracle(seeds, w)
+
+
+@DIFFERENTIAL
+@given(weighted_seeds())
+def test_closure_is_stable_with_oracle_borel_gens(case):
+    w, seeds = case
+    _check_against_oracle(w_closure_oracle(seeds, w), w)
+
+
+@DIFFERENTIAL
+@given(weighted_seeds(), st.integers(0, 10 ** 6))
+def test_stability_and_witness_match_oracle_on_broken_ideals(case, drop):
+    """The seed ideal itself, and the closure less one generator, are often unstable."""
+    w, seeds = case
+    n = w.nvars
+    _check_against_oracle(MonomialIdeal(n, seeds), w)
+    gens = sorted(w_closure_oracle(seeds, w).gens, key=lambda m: m.exponents)
+    del gens[drop % len(gens)]
+    _check_against_oracle(MonomialIdeal(n, gens), w)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise ``TimeoutError`` inside the block once it runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_standard_closure_of_x6_power_at_scale():
+    """x6^8 in six variables: all 1,287 degree-8 monomials, closed and checked quickly."""
+    ones = WeightVector.ones(6)
+    with _time_limit(2.0):
+        ideal = w_closure([Monomial((0, 0, 0, 0, 0, 8))], ones)
+        stable = is_w_stable(ideal, ones)
+    assert len(ideal) == 1287
+    assert all(g.degree() == 8 for g in ideal.gens)
+    assert stable
