@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+
 from .monomials import DimensionMismatch, Monomial
 
 
@@ -9,12 +11,15 @@ def minimalize(monomials) -> list[Monomial]:
     """The divisibility-minimal subset of a collection of monomials.
 
     Idempotent; duplicates collapse.  All inputs must share one variable
-    count.
+    count.  Inputs are taken by degree, and each is compared only against
+    the kept monomials of lower degree: of equal degree, a monomial
+    divides only itself.
     """
     minimal: list[Monomial] = []
-    for m in sorted(set(monomials), key=lambda m: (m.degree(), m.exponents)):
-        if not any(g.divides(m) for g in minimal):
-            minimal.append(m)
+    for _, group in groupby(sorted(set(monomials), key=lambda m: (m.degree(), m.exponents)),
+                            key=Monomial.degree):
+        lower = tuple(minimal)
+        minimal.extend(m for m in group if not any(g.divides(m) for g in lower))
     return minimal
 
 

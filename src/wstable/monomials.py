@@ -29,6 +29,13 @@ class Monomial:
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
+    def _of(cls, exponents: tuple[int, ...]) -> "Monomial":
+        """Wrap a tuple of non-negative ints, skipping the conversion and check."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exponents", exponents)
+        return m
+
+    @classmethod
     def unit(cls, nvars: int) -> "Monomial":
         return cls((0,) * nvars)
 

@@ -5,20 +5,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .catalan import catalan_diagram
-from .closure import _require_w_stable, w_closure, trunc_ideal
+from .closure import _require_w_stable
 from .ideals import MonomialIdeal
-from .monomials import (
-    Monomial,
-    WeightVector,
-    max_index,
-    psi,
-    psi_inverse,
-    truncate,
-    weighted_degree,
-)
-from .trees import tree_from_monomial
+from .monomials import Monomial, WeightVector, max_index, psi, truncate, weighted_degree
+from .trees import _prefix_walk
 
 
 # ---------------------------------------------------------------------------
@@ -112,55 +105,26 @@ class StanleyDecomposition:
 def stanley_decomposition(ideal: MonomialIdeal, w: WeightVector) -> StanleyDecomposition:
     """Decompose the complement of a weighted-stable ideal into free cosets.
 
-    A principal closure is decomposed from its truncation tree: every
-    interior vertex contributes a piece whose free variables are the
-    branching indices it does not use.  Other ideals go through the
-    truncation filtration of the substituted Borel closure.
+    A weighted-stable ideal is strongly stable, so its complement has the
+    Eliahou-Kervaire tiling: every monomial outside the ideal is ``v`` times
+    a monomial in ``x_j``, ``j >= max_index(v)``, where ``v`` runs over the
+    proper factored prefixes of the minimal generators.  Each prefix gives
+    one piece whose free variables are those indices, less the ones that
+    extend ``v`` to a longer prefix.  The weights only order the pieces, by
+    weighted degree and then exponents.
     """
-    bgens = _require_w_stable(ideal, w)
+    _require_w_stable(ideal, w)
     n = ideal.nvars
     if ideal.is_zero():
         pieces = ((Monomial.unit(n), frozenset(range(1, n + 1))),)
         return StanleyDecomposition(n, w, pieces)
 
-    if len(bgens) == 1:
-        pieces = _principal_pieces(next(iter(bgens)), w)
-    else:
-        pieces = _filtration_pieces(ideal, w)
+    nexts = _prefix_walk(g.exponents for g in ideal.gens)
+    pieces = []
+    for v in sorted(nexts, key=lambda v: (sum(map(mul, w, v)), v)):
+        coset = Monomial._of(v)
+        pieces.append((coset, frozenset(range(max_index(coset), n + 1)) - nexts[v]))
     return StanleyDecomposition(n, w, tuple(pieces))
-
-
-def _principal_pieces(m: Monomial, w: WeightVector):
-    tree = tree_from_monomial(m, w)
-    bound = tree.degree_bound
-    pieces = []
-    for v in sorted(tree.vertices(), key=lambda u: (weighted_degree(u, w), u.exponents)):
-        if weighted_degree(v, w) >= bound:
-            continue
-        taken = {max_index(c) for c in tree.children(v)}
-        free = frozenset(j for j in range(max_index(v), m.nvars + 1) if j not in taken)
-        pieces.append((v, free))
-    return pieces
-
-
-def _filtration_pieces(ideal: MonomialIdeal, w: WeightVector):
-    n = ideal.nvars
-    closed_image = w_closure([psi(g, w) for g in ideal.gens], WeightVector.ones(n))
-    d = max(g.degree() for g in closed_image.gens)
-    truncations = [trunc_ideal(closed_image, s) for s in range(d + 1)]
-    pieces = []
-    for s in range(d):
-        for g in sorted(truncations[s].gens, key=lambda m: m.exponents):
-            if g.degree() != s or closed_image.contains(g):
-                continue
-            u = psi_inverse(g, w)
-            if u is None:
-                continue
-            free = frozenset(
-                j for j in range(1, n + 1)
-                if not truncations[s + 1].contains(g.times_variable(j)))
-            pieces.append((u, free))
-    return pieces
 
 
 # ---------------------------------------------------------------------------

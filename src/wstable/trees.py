@@ -11,7 +11,6 @@ from .monomials import (
     WeightVector,
     _check_nvars,
     _prefix_sums,
-    factored_indices,
     weighted_degree,
 )
 
@@ -139,21 +138,38 @@ def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
             yield Monomial(v)
 
 
-def tree_from_ideal(ideal: MonomialIdeal) -> TruncationTree:
-    """The tree of truncations of the minimal generators of ``ideal``.
+def _prefix_walk(gens) -> dict:
+    """Map each proper factored prefix of the exponent vectors to the indices appended to it.
 
-    There is an edge ``(v, v*x_j)`` exactly when ``v*x_j`` is the
-    truncation of some minimal generator at the degree of ``v*x_j``;
-    equivalently the vertices are the factored-form prefixes of the
-    generators.  For a strongly stable ideal the sinks are the minimal
-    generators.
+    A vector drops its last factor until it reaches a prefix already
+    recorded, whose own prefixes are recorded too.
     """
-    root = Monomial.unit(ideal.nvars)
+    nexts = {}
+    for v in gens:
+        j = len(v)
+        while j:
+            if not v[j - 1]:
+                j -= 1
+                continue
+            v = v[:j - 1] + (v[j - 1] - 1,) + v[j:]
+            if v in nexts:
+                nexts[v].add(j)
+                break
+            nexts[v] = {j}
+    return nexts
+
+
+def tree_from_ideal(ideal: MonomialIdeal) -> TruncationTree:
+    """The tree of factored-form prefixes of the minimal generators of ``ideal``.
+
+    There is an edge ``(v, v*x_j)`` exactly when ``v*x_j`` is a prefix of
+    some minimal generator.  For a strongly stable ideal the sinks are the
+    minimal generators, and the interior vertices tile the complement:
+    ``v`` covers ``v`` times the monomials in those ``x_j``, ``j >=
+    max_index(v)``, that have no edge from ``v`` (Eliahou-Kervaire).
+    """
     edges = set()
-    for g in ideal.gens:
-        prefix = root
-        for j in factored_indices(g):
-            child = prefix.times_variable(j)
-            edges.add((prefix, child))
-            prefix = child
-    return TruncationTree(root, frozenset(edges), None)
+    for v, nexts in _prefix_walk(g.exponents for g in ideal.gens).items():
+        parent = Monomial(v)
+        edges.update((parent, parent.times_variable(j)) for j in nexts)
+    return TruncationTree(Monomial.unit(ideal.nvars), frozenset(edges), None)

@@ -75,6 +75,12 @@ def _in_ideal(u, gens) -> bool:
     return any(_divides(g, u) for g in gens)
 
 
+def _in_coset(u, coset, free) -> bool:
+    """Whether ``u`` is ``coset`` times a monomial in the 1-based indices ``free``."""
+    return all(a == c or (a > c and i in free)
+               for i, (a, c) in enumerate(zip(u, coset), start=1))
+
+
 def _minimal_exponents(vectors) -> set[tuple[int, ...]]:
     """The divisibility-minimal exponent tuples, by a pairwise scan."""
     vectors = set(vectors)

@@ -1,8 +1,6 @@
 """Weighted closures, stability, weighted Borel generators, and truncations."""
 
 import random
-import signal
-from contextlib import contextmanager
 from datetime import timedelta
 
 import pytest
@@ -19,6 +17,7 @@ from oracles import (
     random_weight_vector,
     w_closure_oracle,
 )
+from timing import time_limit
 from wstable import (
     Monomial,
     MonomialIdeal,
@@ -245,24 +244,10 @@ def test_stability_and_witness_match_oracle_on_broken_ideals(case, drop):
     _check_against_oracle(MonomialIdeal(n, gens), w)
 
 
-@contextmanager
-def _time_limit(seconds):
-    """Raise ``TimeoutError`` inside the block once it runs past ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"ran past {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_standard_closure_of_x6_power_at_scale():
     """x6^8 in six variables: all 1,287 degree-8 monomials, closed and checked quickly."""
     ones = WeightVector.ones(6)
-    with _time_limit(2.0):
+    with time_limit(2.0):
         ideal = w_closure([Monomial((0, 0, 0, 0, 0, 8))], ones)
         stable = is_w_stable(ideal, ones)
     assert len(ideal) == 1287

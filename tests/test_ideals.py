@@ -5,11 +5,14 @@ import random
 import pytest
 
 from oracles import (
+    _minimal_exponents,
     all_monomials,
     in_w_closure_oracle,
+    monomials_of_degree,
     random_monomial,
     random_weight_vector,
 )
+from timing import time_limit
 from wstable import (
     DimensionMismatch,
     Monomial,
@@ -35,6 +38,27 @@ def test_minimalize_idempotent():
         gens = [random_monomial(rng, 3) for _ in range(6)]
         once = minimalize(gens)
         assert minimalize(once) == once
+
+
+def test_minimalize_matches_pairwise_oracle():
+    """Mixed degrees and repeated inputs: the same set as a full pairwise scan,
+    listed by degree and then exponents."""
+    rng = random.Random(89)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        gens = [random_monomial(rng, n) for _ in range(rng.randint(0, 12))]
+        gens += rng.choices(gens, k=min(len(gens), 4))
+        got = minimalize(gens)
+        assert {m.exponents for m in got} == _minimal_exponents(m.exponents for m in gens)
+        assert got == sorted(set(got), key=lambda m: (m.degree(), m.exponents))
+
+
+def test_minimalize_x6_power_generators_at_scale():
+    """The 1,287 monomials of degree 8 in six variables are all minimal."""
+    gens = list(monomials_of_degree(6, 8))
+    with time_limit(0.25):
+        ideal = MonomialIdeal(6, gens)
+    assert len(ideal) == 1287
 
 
 def test_ideal_construction_minimalizes():

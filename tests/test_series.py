@@ -2,16 +2,23 @@
 
 import random
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from oracles import (
+    _in_coset,
+    _in_ideal,
+    all_monomials,
     complement_counts,
     distinct_part_partitions,
     random_monomial,
     random_weight_vector,
 )
+from timing import time_limit
 from wstable import (
     Monomial,
     MonomialIdeal,
@@ -24,7 +31,11 @@ from wstable import (
     parse_ideal,
     parse_monomial,
     poincare_series,
+    psi,
+    psi_inverse,
     stanley_decomposition,
+    tree_from_monomial,
+    trunc_ideal,
     w_borel_gens,
     w_closure,
     weighted_degree,
@@ -96,17 +107,101 @@ def test_stanley_partitions_complement_random():
         _assert_partitions_complement(ideal, w, 15)
 
 
+def _principal_pieces(m, w):
+    """Reference pieces of the principal closure of ``m``, from its truncation tree.
+
+    Every vertex below the tree's degree bound is a coset; its free indices
+    run from its maximal index up, less those its children append.
+    """
+    tree = tree_from_monomial(m, w)
+    pieces = []
+    for v in sorted(tree.vertices(), key=lambda u: (weighted_degree(u, w), u.exponents)):
+        if weighted_degree(v, w) >= tree.degree_bound:
+            continue
+        taken = {max_index(c) for c in tree.children(v)}
+        free = frozenset(j for j in range(max_index(v), m.nvars + 1) if j not in taken)
+        pieces.append((v, free))
+    return pieces
+
+
+def _filtration_pieces(ideal, w):
+    """Reference pieces from the truncation filtration of the substituted closure.
+
+    A generator ``g`` of the s-th truncation with degree s, outside the
+    closure, is a coset when it pulls back to some ``u``; its free indices
+    are those ``j`` with ``g * x_j`` outside the (s+1)-st truncation.
+    """
+    n = ideal.nvars
+    closed_image = w_closure([psi(g, w) for g in ideal.gens], WeightVector.ones(n))
+    d = max(g.degree() for g in closed_image.gens)
+    truncations = [trunc_ideal(closed_image, s) for s in range(d + 1)]
+    pieces = []
+    for s in range(d):
+        for g in sorted(truncations[s].gens, key=lambda m: m.exponents):
+            if g.degree() != s or closed_image.contains(g):
+                continue
+            u = psi_inverse(g, w)
+            if u is None:
+                continue
+            free = frozenset(
+                j for j in range(1, n + 1)
+                if not truncations[s + 1].contains(g.times_variable(j)))
+            pieces.append((u, free))
+    return pieces
+
+
 def test_stanley_principal_routes_agree():
-    """The tree-based pieces of a principal closure match the filtration route."""
-    from wstable.series import _filtration_pieces
+    """The prefix walk lists the pieces of both reference routes, in their order."""
     cases = [(closure_321(), golden.W321),
              (w_closure([Monomial((0, 2))], golden.ONES2), golden.ONES2),
              (w_closure([Monomial((0, 2, 1))], WeightVector((4, 2, 1))),
               WeightVector((4, 2, 1)))]
     for ideal, w in cases:
-        tree_route = stanley_decomposition(ideal, w)
-        filtration = set(_filtration_pieces(ideal, w))
-        assert set(tree_route.pieces) == filtration
+        (m,) = w_borel_gens(ideal, w)
+        pieces = list(stanley_decomposition(ideal, w).pieces)
+        assert pieces == _principal_pieces(m, w)
+        assert pieces == _filtration_pieces(ideal, w)
+    for ideal, w in _non_principal_cases(79, 15):
+        assert list(stanley_decomposition(ideal, w).pieces) == _filtration_pieces(ideal, w)
+
+
+@st.composite
+def stable_closures(draw):
+    """A weight vector and the closure of 1-3 seeds: n <= 4, weights <= 3, exponents <= 2."""
+    n = draw(st.integers(1, 4))
+    w = WeightVector(tuple(sorted(
+        draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)), reverse=True)))
+    seeds = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=3))
+    return w, w_closure([Monomial(s) for s in seeds], w)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=timedelta(seconds=5))
+@given(stable_closures())
+def test_stanley_pieces_tile_complement(case):
+    """Up to two degrees past the generators, each monomial outside the ideal
+    lies in exactly one piece, and each monomial of the ideal in none."""
+    w, ideal = case
+    pieces = [(coset.exponents, free)
+              for coset, free in stanley_decomposition(ideal, w).pieces]
+    gens = [g.exponents for g in ideal.gens]
+    for m in all_monomials(w.nvars, max(sum(g) for g in gens) + 2):
+        u = m.exponents
+        hits = sum(1 for coset, free in pieces if _in_coset(u, coset, free))
+        assert hits == (0 if _in_ideal(u, gens) else 1), u
+
+
+@pytest.mark.parametrize("nvars, weights, seeds, npieces", [
+    (4, (3, 3, 3, 1), "x2^2*x3^2*x4^2, x1*x2*x3*x4", 19),
+    (4, (3, 2, 2, 1), "x1*x2^2*x3^2*x4^2, x1^2*x2*x3^2", 21),
+    (6, (1, 1, 1, 1, 1, 1), "x6^8", 1716),
+])
+def test_stanley_runs_fast(nvars, weights, seeds, npieces):
+    """Inputs whose decomposition once took 0.1-2 s through truncation filtrations."""
+    w = WeightVector(weights)
+    ideal = w_closure(parse_ideal(seeds, nvars).gens, w)
+    with time_limit(0.05):
+        decomposition = stanley_decomposition(ideal, w)
+    assert len(decomposition.pieces) == npieces
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +229,7 @@ def test_hilbert_matches_counting_golden():
 
 
 def test_hilbert_terms_from_diagram_rows():
-    from wstable import psi, truncate
+    from wstable import truncate
     series = hilbert_series(closure_321(), golden.W321)
     assert series.terms == ((1, 0, 1), (1, 3, 2), (1, 5, 3), (2, 6, 3))
     image = psi(X123, golden.W321)

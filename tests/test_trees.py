@@ -151,7 +151,11 @@ def test_generator_tree_zero_and_unit():
 
 
 def test_generator_tree_of_principal_closure_shares_vertices():
-    """The generator tree of a principal closure retraces the truncation tree."""
+    """The generator tree of a principal closure retraces the truncation tree.
+
+    Equal edges mean equal children, so the truncation tree's interior
+    vertices give the same Stanley pieces as the closure's prefix walk.
+    """
     import random
 
     from oracles import random_monomial, random_weight_vector
@@ -162,6 +166,7 @@ def test_generator_tree_of_principal_closure_shares_vertices():
         truncation_tree = tree_from_monomial(m, w)
         generator_tree = tree_from_ideal(w_closure([m], w))
         assert generator_tree.vertices() == truncation_tree.vertices()
+        assert generator_tree.edges == truncation_tree.edges
 
 
 def test_adjacency_lines_bfs_order():
