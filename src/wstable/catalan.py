@@ -7,10 +7,8 @@ from dataclasses import dataclass
 from .monomials import (
     Monomial,
     WeightVector,
+    _branch_limits,
     _check_nvars,
-    max_index,
-    psi,
-    truncate,
     weighted_degree,
 )
 
@@ -55,25 +53,21 @@ def catalan_diagram(m: Monomial, w: WeightVector) -> CatalanDiagram:
 
     The entry at (a, b) sums the entries of row ``a - w_b`` up to column
     ``b`` provided that source row lies strictly below the weighted degree
-    of ``m`` and that the branching truncation of the substituted image
+    of ``m`` and that the branching limit of ``m`` at the source row
     reaches column ``b``; otherwise it is zero.
     """
     _check_nvars(m, w)
     n = m.nvars
     d = weighted_degree(m, w)
-    image = psi(m, w)
+    limits = _branch_limits(m.exponents, w, d)
     nrows = d + w.max_weight
     rows = [[0] * n for _ in range(nrows)]
     rows[0][0] = 1
     for a in range(1, nrows):
         for b in range(1, n + 1):
-            wb = w[b - 1]
-            src = a - wb
-            if not 0 <= src < d:
-                continue
-            if max_index(truncate(image, src + 1)) < b:
-                continue
-            rows[a][b - 1] = sum(rows[src][:b])
+            src = a - w[b - 1]
+            if 0 <= src < d and limits[src] >= b:
+                rows[a][b - 1] = sum(rows[src][:b])
     return CatalanDiagram(m, w, d, tuple(tuple(r) for r in rows))
 
 

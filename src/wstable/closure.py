@@ -4,14 +4,13 @@ The core works on exponent tuples.  With the weighted prefix sums
 ``P(u)_k = sum_{i<=k} w_i * u_i``, a monomial ``u`` lies in the weighted
 closure of ``s`` exactly when ``P(u) >= P(s)`` componentwise.  So the
 closure of a set is the closure of its dominance-minimal elements, its
-weighted Borel generators, and only those are expanded.
+weighted Borel generators, and only those are used.
 """
 
 from __future__ import annotations
 
 from .ideals import MonomialIdeal
 from .monomials import Monomial, WeightVector, _check_nvars, _prefix_below, _prefix_sums, truncate
-from .trees import _expand
 
 
 class NotWStableError(ValueError):
@@ -56,27 +55,37 @@ def _borel_gens(gens, w: WeightVector):
 
 
 def _close(bgens, w: WeightVector) -> set[tuple[int, ...]]:
-    """Minimal generators of the closure of dominance-minimal ``bgens``."""
+    """Minimal generators of the closure of dominance-minimal ``bgens``.
+
+    ``u`` is one exactly when it lies in the closure and ``u / x_max(u)``
+    does not (Eliahou-Kervaire).  The walk picks ``u_1, u_2, ...`` in turn,
+    carrying the ``b`` with ``P(b)_i <= P(u)_i`` so far.  ``u_k`` starts at
+    the first value that admits one.  The prefix ends as a generator once
+    ``P_k`` reaches the least weighted degree admitted; below that, it goes
+    on to ``u_{k+1}`` with the admitted ``b`` only.
+    """
     weights = tuple(w)
-    prefixes = [p for _, p in bgens]
     closed = set()
-    for b, p in bgens:
-        for u, kids in _expand(b, weights, p[-1]):
-            if not kids and (len(bgens) == 1
-                             or not _has_divisor_in_closure(u, weights, prefixes)):
-                closed.add(u)
+    stack = [((), 0, [p for _, p in bgens])] if bgens else []
+    while stack:
+        head, low, cands = stack.pop()
+        k = len(head)
+        wk = weights[k]
+        cands.sort(key=lambda q: q[k])
+        e = max(0, -((low - cands[0][k]) // wk))
+        pk = low + e * wk
+        kept, least = 1, cands[0][-1]
+        while True:
+            while kept < len(cands) and cands[kept][k] <= pk:
+                least = min(least, cands[kept][-1])
+                kept += 1
+            if pk >= least:
+                closed.add(head + (e,) + (0,) * (len(weights) - k - 1))
+                break
+            stack.append((head + (e,), pk, cands[:kept]))
+            e += 1
+            pk += wk
     return closed
-
-
-def _has_divisor_in_closure(u, weights, prefixes) -> bool:
-    """Whether some ``u / x_i`` dominates one of the prefix-sum vectors."""
-    pu = _prefix_sums(u, weights)
-    for i, e in enumerate(u):
-        if e:
-            lowered = pu[:i] + tuple(q - weights[i] for q in pu[i:])
-            if any(_prefix_below(q, lowered) for q in prefixes):
-                return True
-    return False
 
 
 def _stability(ideal: MonomialIdeal, w: WeightVector):
@@ -90,10 +99,9 @@ def w_closure(monomials, w: WeightVector) -> MonomialIdeal:
     """Smallest weighted-stable ideal containing the given monomials.
 
     Only the weighted Borel generators of the input (its elements not
-    dominating another) are expanded.  The truncation-tree sinks of one
-    are the minimal generators of its principal closure; with several, a
-    sink is dropped when some ``u / x_i`` still lies in the closure.  The
-    result is minimal as built, so no ``minimalize`` runs.
+    dominating another) are used.  One walk over exponent prefixes emits
+    the closure's minimal generators and nothing else, so no tree is
+    expanded and no ``minimalize`` runs.
     """
     closed = _close(_borel_gens(_exponents(monomials, w), w), w)
     return MonomialIdeal._minimal(w.nvars, map(Monomial, closed))
@@ -102,9 +110,9 @@ def w_closure(monomials, w: WeightVector) -> MonomialIdeal:
 def is_w_stable(ideal: MonomialIdeal, w: WeightVector) -> bool:
     """Whether ``ideal`` equals its weighted Borel closure.
 
-    The closure is computed from the ideal's weighted Borel generators only;
-    the ideal is stable exactly when that closure has no generator the
-    ideal lacks.
+    The minimal generators of the closure of the ideal's weighted Borel
+    generators are enumerated once; the ideal is stable exactly when none
+    of them is missing from its own generators.
     """
     return not _stability(ideal, w)[1]
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import mul
+from operator import le, mul, sub
 
 
 class DimensionMismatch(ValueError):
@@ -212,9 +213,21 @@ def _prefix_sums(exponents, weights) -> tuple[int, ...]:
     return tuple(accumulate(map(mul, weights, exponents)))
 
 
+def _branch_limits(exponents, weights, bound: int) -> list[int]:
+    """Branching limit of a seed at each weighted degree ``d < bound``.
+
+    The least ``k`` with ``P_k > d`` for the seed's weighted prefix sums, or
+    its maximal index once ``d`` reaches its weighted degree: the maximal
+    index of the (d+1)-factor truncation of its substituted image.
+    """
+    prefix = _prefix_sums(exponents, weights)
+    top = max((i for i, e in enumerate(exponents, start=1) if e), default=1)
+    return [min(bisect_right(prefix, d) + 1, top) for d in range(bound)]
+
+
 def _prefix_below(low, high) -> bool:
     """Whether ``low <= high`` componentwise, on two prefix-sum vectors."""
-    return all(a <= b for a, b in zip(low, high))
+    return all(map(le, low, high))
 
 
 def w_borel_below(m: Monomial, u: Monomial, w: WeightVector) -> bool:
@@ -235,17 +248,13 @@ def w_borel_below(m: Monomial, u: Monomial, w: WeightVector) -> bool:
 def meet_w(u: Monomial, v: Monomial, w: WeightVector):
     """Meet of ``u`` and ``v`` in the weighted Borel order.
 
-    Computed on the factored forms of the substituted images: positionwise
-    minima over the shorter factor list, tail taken from the longer one.
-    When the result lies in the substitution's image its principal closure
-    is the intersection of the two principal closures.  Returns ``None``
-    when the factored meet has no preimage; the intersection ideal is still
-    available through ``MonomialIdeal.intersection`` in that case.
+    Its weighted prefix sums are the componentwise maxima of those of ``u``
+    and ``v``, and its exponents are their steps divided by the weights.
+    When these divide exactly, its principal closure is the intersection of
+    the two principal closures.  Otherwise the result is ``None``; the
+    intersection ideal is still available through ``MonomialIdeal.intersection``.
     """
     _check_nvars(u, v)
-    fu = factored_indices(psi(u, w))
-    fv = factored_indices(psi(v, w))
-    if len(fu) < len(fv):
-        fu, fv = fv, fu
-    merged = tuple(min(a, b) for a, b in zip(fu, fv)) + fu[len(fv):]
-    return psi_inverse(Monomial.from_factors(merged, u.nvars), w)
+    _check_nvars(u, w)
+    top = list(map(max, _prefix_sums(u.exponents, w), _prefix_sums(v.exponents, w)))
+    return psi_inverse(Monomial(tuple(map(sub, top, [0] + top[:-1]))), w)

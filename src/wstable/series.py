@@ -10,7 +10,7 @@ from operator import mul
 from .catalan import catalan_diagram
 from .closure import _require_w_stable
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, max_index, psi, truncate, weighted_degree
+from .monomials import Monomial, WeightVector, _branch_limits, max_index, weighted_degree
 from .trees import _prefix_walk
 
 
@@ -188,7 +188,7 @@ def hilbert_series(ideal: MonomialIdeal, w: WeightVector) -> HilbertSeries:
     ``P`` is the Poincare polynomial summed over the minimal generators
     (Eliahou-Kervaire).  For principal closures the Catalan diagram also
     gives the structured terms: row sums below the weighted degree give the
-    term counts and the truncation indices give the free denominator blocks.
+    term counts and the branching limits give the free denominator blocks.
     """
     bgens = _require_w_stable(ideal, w)
     numerator = _poly_add({0: 1}, _poincare(ideal, w).at_u(-1))
@@ -196,8 +196,8 @@ def hilbert_series(ideal: MonomialIdeal, w: WeightVector) -> HilbertSeries:
     if len(bgens) == 1:
         (m,) = bgens
         diagram = catalan_diagram(m, w)
-        image = psi(m, w)
-        terms = tuple((diagram.row_sum(s), s, max_index(truncate(image, s + 1)))
+        limits = _branch_limits(m.exponents, w, diagram.degree)
+        terms = tuple((diagram.row_sum(s), s, limits[s])
                       for s in range(diagram.degree) if diagram.row_sum(s))
     return HilbertSeries(w, numerator, terms)
 

@@ -9,8 +9,8 @@ from .ideals import MonomialIdeal
 from .monomials import (
     Monomial,
     WeightVector,
+    _branch_limits,
     _check_nvars,
-    _prefix_sums,
     weighted_degree,
 )
 
@@ -86,17 +86,13 @@ def _expand(exponents, weights, bound: int):
     """Breadth-first ``(vertex, children)`` pairs of a truncation tree, on exponent tuples.
 
     A vertex of weighted degree ``d < bound`` appends ``x_j`` for ``j`` from
-    its maximal index up to the (d+1)-st factor index of the substituted
-    image of the seed: the least ``k`` with ``P_k > d`` for the seed's
-    weighted prefix sums ``P``, or the image's maximal index past its
-    degree.  These limits grow with ``d``, so every vertex below the bound
-    has a child and the sinks are the vertices at or above it.
+    its maximal index up to the seed's branching limit at ``d``
+    (:func:`~wstable.monomials._branch_limits`).  These limits grow with
+    ``d``, so every vertex below the bound has a child and the sinks are
+    the vertices at or above it.
     """
     weights = tuple(weights)
-    prefix = _prefix_sums(exponents, weights)
-    top = max((i for i, e in enumerate(exponents, start=1) if e), default=1)
-    jmax = [next((k for k, p in enumerate(prefix, start=1) if p > d), top)
-            for d in range(bound)]
+    jmax = _branch_limits(exponents, weights, bound)
     queue = deque([((0,) * len(exponents), 0, 1)])  # vertex, weighted degree, max index
     while queue:
         v, dv, lo = queue.popleft()

@@ -10,8 +10,10 @@ plain exponent tuples.  The oracles never call the code paths they check:
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
+from operator import le
 
 from wstable import Monomial, MonomialIdeal, WeightVector
 
@@ -68,7 +70,7 @@ def _move_fixpoint(vectors):
 
 
 def _divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _in_ideal(u, gens) -> bool:
@@ -82,9 +84,16 @@ def _in_coset(u, coset, free) -> bool:
 
 
 def _minimal_exponents(vectors) -> set[tuple[int, ...]]:
-    """The divisibility-minimal exponent tuples, by a pairwise scan."""
+    """The divisibility-minimal exponent tuples, by a pairwise scan.
+
+    A tuple one step above another tuple of the set is not minimal, so it
+    is dropped before the scan.  Every minimal tuple survives the drop, so
+    the scan still finds a divisor of each remaining tuple that is not.
+    """
     vectors = set(vectors)
-    return {a for a in vectors if not any(b != a and _divides(b, a) for b in vectors)}
+    rest = {a for a in vectors
+            if not any(e and a[:i] + (e - 1,) + a[i + 1:] in vectors for i, e in enumerate(a))}
+    return {a for a in rest if not any(b != a and _divides(b, a) for b in rest)}
 
 
 def _ideal(n: int, vectors) -> MonomialIdeal:
@@ -161,6 +170,19 @@ def random_monomial(rng, n: int, max_exponent: int = 3) -> Monomial:
 def random_weight_vector(rng, n: int, max_weight: int = 4) -> WeightVector:
     ws = sorted((rng.randint(1, max_weight) for _ in range(n)), reverse=True)
     return WeightVector(tuple(ws))
+
+
+def principal_cases(seed: int, count: int = 300):
+    """Seeded ``(m, w)`` pairs: n = 1-4, exponents <= 3, weights <= 4.
+
+    The list starts with the unit monomial in one and in three variables.
+    """
+    rng = random.Random(seed)
+    cases = [(Monomial.unit(1), WeightVector((3,))), (Monomial.unit(3), WeightVector((4, 2, 1)))]
+    while len(cases) < count:
+        n = rng.randint(1, 4)
+        cases.append((random_monomial(rng, n), random_weight_vector(rng, n)))
+    return cases
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Weighted Catalan diagrams."""
 
 import golden
+from oracles import principal_cases
+from timing import time_limit
 from wstable import (
     Monomial,
     WeightVector,
@@ -8,6 +10,8 @@ from wstable import (
     generator_stats,
     max_index,
     parse_monomial,
+    psi,
+    truncate,
     w_closure,
     weighted_degree,
 )
@@ -98,3 +102,35 @@ def test_unit_monomial_diagram():
     assert diagram.degree == 0
     assert diagram.rows == ((1, 0), (0, 0))
     assert generator_stats(diagram) == [(0, 1, 1)]
+
+
+def _per_cell_rows(m, w):
+    """Reference diagram: each cell truncates the substituted image of ``m`` anew.
+
+    Entry (a, b) sums row ``a - w_b`` up to column ``b`` when that row lies
+    below the weighted degree and the (a - w_b + 1)-factor truncation of
+    the image has maximal index at least ``b``.
+    """
+    d = weighted_degree(m, w)
+    image = psi(m, w)
+    rows = [[0] * m.nvars for _ in range(d + w.max_weight)]
+    rows[0][0] = 1
+    for a in range(1, len(rows)):
+        for b in range(1, m.nvars + 1):
+            src = a - w[b - 1]
+            if 0 <= src < d and max_index(truncate(image, src + 1)) >= b:
+                rows[a][b - 1] = sum(rows[src][:b])
+    return tuple(tuple(r) for r in rows)
+
+
+def test_diagram_matches_per_cell_truncation_rule():
+    for m, w in principal_cases(47):
+        assert catalan_diagram(m, w).rows == _per_cell_rows(m, w), (m, w)
+
+
+def test_diagram_of_high_power_at_scale():
+    """x2^4000: 4,001 rows, once 2 s through one truncation per cell."""
+    m = Monomial((0, 4000))
+    with time_limit(0.5):
+        diagram = catalan_diagram(m, WeightVector.ones(2))
+    assert generator_stats(diagram) == [(4000, 1, 1), (4000, 2, 4000)]

@@ -1,5 +1,6 @@
 """Weighted closures, stability, weighted Borel generators, and truncations."""
 
+import itertools
 import random
 from datetime import timedelta
 
@@ -13,6 +14,7 @@ from oracles import (
     borel_closure_by_moves,
     ideal_monomials_up_to_degree,
     in_w_closure_oracle,
+    monomials_of_degree,
     random_monomial,
     random_weight_vector,
     w_closure_oracle,
@@ -23,6 +25,7 @@ from wstable import (
     MonomialIdeal,
     NotWStableError,
     WeightVector,
+    hilbert_series,
     is_w_stable,
     parse_ideal,
     trunc_ideal,
@@ -193,6 +196,39 @@ def weighted_seeds(draw):
     return WeightVector(tuple(weights)), [Monomial(s) for s in seeds]
 
 
+def _antichain(vectors, weights):
+    """The vectors, in order, that have weighted prefix sums incomparable
+    with those of every vector kept before them."""
+    kept = {}
+    for v in vectors:
+        p = tuple(itertools.accumulate(map(int.__mul__, weights, v)))
+        if all(any(map(int.__lt__, p, q)) and any(map(int.__gt__, p, q)) for q in kept.values()):
+            kept[v] = p
+    return list(kept)
+
+
+@st.composite
+def many_seeds(draw):
+    """A weight vector and 1-8 Borel generators: 3 <= n <= 5, exponents <= 3, weights <= 3.
+
+    Half the cases are standard graded.  The exponent vectors of one
+    weighted degree are shuffled, and each is kept when its prefix sums are
+    incomparable with those of every vector kept before it.
+    """
+    n = draw(st.integers(3, 5))
+    if draw(st.booleans()):
+        weights = (1,) * n
+    else:
+        weights = tuple(sorted(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+                               reverse=True))
+    degree = sum(map(int.__mul__, weights, draw(st.tuples(*[st.integers(0, 3)] * n))))
+    pool = [e for e in itertools.product(range(4), repeat=n)
+            if sum(map(int.__mul__, weights, e)) == degree]
+    draw(st.randoms(use_true_random=False)).shuffle(pool)
+    seeds = _antichain(pool, weights)[:8]
+    return WeightVector(weights), [Monomial(s) for s in seeds]
+
+
 def _first_missing(closed, ideal):
     """The first generator of ``closed``, in graded-lex descending order, not in ``ideal``."""
     return max((g for g in closed.gens if g not in ideal.gens),
@@ -215,7 +251,7 @@ def _check_against_oracle(ideal, w):
     assert bgens <= ideal.gens
     assert w_closure_oracle(bgens, w) == ideal
     for b in bgens:
-        assert w_closure_oracle(bgens - {b}, w) != ideal
+        assert not in_w_closure_oracle(b, bgens - {b}, w)
 
 
 @DIFFERENTIAL
@@ -244,6 +280,19 @@ def test_stability_and_witness_match_oracle_on_broken_ideals(case, drop):
     _check_against_oracle(MonomialIdeal(n, gens), w)
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=timedelta(seconds=5))
+@given(many_seeds(), st.integers(0, 10 ** 6))
+def test_closure_of_many_seeds_matches_oracle(case, drop):
+    """Closure, stability, Borel generators, and the witness on the closure less one generator."""
+    w, seeds = case
+    closed = w_closure_oracle(seeds, w)
+    assert w_closure(seeds, w) == closed
+    _check_against_oracle(closed, w)
+    gens = sorted(closed.gens, key=lambda m: m.exponents)
+    del gens[drop % len(gens)]
+    _check_against_oracle(MonomialIdeal(w.nvars, gens), w)
+
+
 def test_standard_closure_of_x6_power_at_scale():
     """x6^8 in six variables: all 1,287 degree-8 monomials, closed and checked quickly."""
     ones = WeightVector.ones(6)
@@ -253,3 +302,46 @@ def test_standard_closure_of_x6_power_at_scale():
     assert len(ideal) == 1287
     assert all(g.degree() == 8 for g in ideal.gens)
     assert stable
+
+
+def _incomparable_seeds(n, d):
+    """Degree-``d`` monomials in ``n`` variables with pairwise incomparable prefix sums.
+
+    All of them, in ascending lex order of exponents, are shuffled with
+    ``random.Random(1)`` before :func:`_antichain` picks them.
+    """
+    vectors = [m.exponents for m in reversed(list(monomials_of_degree(n, d)))]
+    random.Random(1).shuffle(vectors)
+    return [Monomial(v) for v in _antichain(vectors, (1,) * n)]
+
+
+def test_closure_of_many_borel_generators_at_scale():
+    """46 Borel generators of degree 10 in six variables, once 7 s for each call."""
+    ones = WeightVector.ones(6)
+    seeds = _incomparable_seeds(6, 10)
+    assert len(seeds) == 46
+    with time_limit(0.5):
+        ideal = w_closure(seeds, ones)
+    assert len(ideal) == 1653
+    with time_limit(0.5):
+        stable = is_w_stable(ideal, ones)
+    assert stable
+    with time_limit(0.5):
+        series = hilbert_series(ideal, ones)
+    # every generator has degree 10, out of the 3,003 monomials of that degree
+    assert series.expansion(10)[10] == 3003 - 1653
+
+
+def test_closure_of_high_power_at_scale():
+    """The standard closure of x2^4000: 4,001 generators, once 9 s."""
+    with time_limit(0.5):
+        ideal = w_closure([Monomial((0, 4000))], WeightVector.ones(2))
+    assert len(ideal) == 4001
+
+
+def test_closure_in_1500_variables_does_not_recurse():
+    """The walk keeps an explicit stack, so 1,500 coordinates stay below the recursion limit."""
+    n = 1500
+    with time_limit(5.0):
+        ideal = w_closure([Monomial.variable(n, n)], WeightVector.ones(n))
+    assert ideal.gens == {Monomial.variable(i, n) for i in range(1, n + 1)}

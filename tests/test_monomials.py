@@ -1,8 +1,10 @@
 """Monomial arithmetic, the substitution map, and the weighted Borel order."""
 
+import random
+
 import pytest
 
-from oracles import all_monomials, borel_closure_by_moves
+from oracles import all_monomials, borel_closure_by_moves, principal_cases, random_monomial
 from wstable import (
     DimensionMismatch,
     Monomial,
@@ -164,6 +166,28 @@ def test_meet_outside_image():
     # factored meet of y2^6 and y1^3 is y1^3*y2^3; 3 is not a multiple of w2=2
     assert meet_w(Monomial((0, 3)), Monomial((1, 0)), WeightVector((3, 2))) is None
     assert meet_w(Monomial((0, 2, 0)), Monomial((1, 0, 0)), W321) is None
+
+
+def _factored_meet(u, v, w):
+    """Reference meet on the factored forms of the substituted images.
+
+    Positionwise minima over the shorter factor list, the tail from the
+    longer one, pulled back when the result lies in the image.
+    """
+    fu = factored_indices(psi(u, w))
+    fv = factored_indices(psi(v, w))
+    if len(fu) < len(fv):
+        fu, fv = fv, fu
+    merged = tuple(min(a, b) for a, b in zip(fu, fv)) + fu[len(fv):]
+    return psi_inverse(Monomial.from_factors(merged, u.nvars), w)
+
+
+def test_meet_matches_factored_form_rule():
+    rng = random.Random(61)
+    for u, w in principal_cases(61):
+        for v in (u, Monomial.unit(u.nvars), random_monomial(rng, u.nvars)):
+            assert meet_w(u, v, w) == _factored_meet(u, v, w), (u, v, w)
+            assert meet_w(v, u, w) == _factored_meet(v, u, w), (u, v, w)
 
 
 def test_meet_in_image_for_unit_second_weight():

@@ -15,6 +15,7 @@ from oracles import (
     all_monomials,
     complement_counts,
     distinct_part_partitions,
+    principal_cases,
     random_monomial,
     random_weight_vector,
 )
@@ -25,6 +26,7 @@ from wstable import (
     NotWStableError,
     WeightVector,
     betti_numbers,
+    catalan_diagram,
     format_betti_table,
     hilbert_series,
     max_index,
@@ -36,6 +38,7 @@ from wstable import (
     stanley_decomposition,
     tree_from_monomial,
     trunc_ideal,
+    truncate,
     w_borel_gens,
     w_closure,
     weighted_degree,
@@ -229,12 +232,29 @@ def test_hilbert_matches_counting_golden():
 
 
 def test_hilbert_terms_from_diagram_rows():
-    from wstable import truncate
     series = hilbert_series(closure_321(), golden.W321)
     assert series.terms == ((1, 0, 1), (1, 3, 2), (1, 5, 3), (2, 6, 3))
     image = psi(X123, golden.W321)
     for _, s, k in series.terms:
         assert k == max_index(truncate(image, s + 1))
+
+
+def _truncation_terms(m, w):
+    """Reference structured terms: each row truncates the substituted image of ``m`` anew.
+
+    Row ``s`` of the Catalan diagram below the weighted degree gives the term
+    ``(row sum, s, maximal index of the (s+1)-factor truncation)``.
+    """
+    diagram = catalan_diagram(m, w)
+    image = psi(m, w)
+    return tuple((diagram.row_sum(s), s, max_index(truncate(image, s + 1)))
+                 for s in range(diagram.degree) if diagram.row_sum(s))
+
+
+def test_hilbert_terms_match_truncation_rule():
+    for m, w in principal_cases(59):
+        terms = hilbert_series(w_closure([m], w), w).terms
+        assert terms == _truncation_terms(m, w), (m, w)
 
 
 def test_hilbert_matches_counting_random_principal():
@@ -311,6 +331,15 @@ def test_hilbert_non_principal_runs_fast(weights, seeds):
     series = hilbert_series(ideal, w)
     assert time.perf_counter() - start < 1.0
     assert series.expansion(20) == complement_counts(ideal, w, 20)
+
+
+def test_hilbert_of_high_power_closure_at_scale():
+    """The closure of x2^2000, once 3 s: the stability check and one truncation per row."""
+    ones = WeightVector.ones(2)
+    ideal = w_closure([Monomial((0, 2000))], ones)
+    with time_limit(0.5):
+        series = hilbert_series(ideal, ones)
+    assert series.terms == tuple((s + 1, s, 2) for s in range(2000))
 
 
 def test_hilbert_rejects_unstable_input():
