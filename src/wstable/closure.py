@@ -117,28 +117,21 @@ def is_w_stable(ideal: MonomialIdeal, w: WeightVector) -> bool:
     return not _stability(ideal, w)[1]
 
 
-def _require_w_stable(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
-    """Check stability with one closure and return the weighted Borel generators.
-
-    The witness of a failure is the first missing generator of the closure
-    in graded-lex descending order.
-    """
-    bgens, missing = _stability(ideal, w)
-    if missing:
-        raise NotWStableError(w, Monomial(max(missing, key=lambda u: (sum(u), u))))
-    return frozenset(Monomial(b) for b, _ in bgens)
-
-
 def w_borel_gens(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
     """The unique minimal set of monomials whose weighted closure is ``ideal``.
 
     These are the minimal generators outside the closure of every other
     generator: no other generator's weighted prefix sums are componentwise
     at most theirs.  One pass in (weighted degree, exponents) order finds
-    them, and stability is checked by closing only them.  Requires a
-    weighted-stable input.
+    them, and stability is checked by closing only them, so this is the
+    library's one stability check.  A non-stable input raises
+    :class:`NotWStableError` whose witness is the first missing generator
+    of the closure in graded-lex descending order.
     """
-    return _require_w_stable(ideal, w)
+    bgens, missing = _stability(ideal, w)
+    if missing:
+        raise NotWStableError(w, Monomial(max(missing, key=lambda u: (sum(u), u))))
+    return frozenset(Monomial(b) for b, _ in bgens)
 
 
 def trunc_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .closure import _require_w_stable, w_closure
+from .closure import w_borel_gens, w_closure
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, max_index
-from .trees import tree_from_ideal
+from .monomials import Monomial, WeightVector
+from .trees import _prefix_walk
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,7 @@ class ConstraintSystem:
     """Half-space description of the weight vectors realizing a principal closure.
 
     Contains the degree comparisons against sinks and subsinks of the
-    generator tree, the branching conditions at interior vertices, and the
+    generator walk, the branching conditions at its interior vertices, and the
     monotonicity/positivity constraints that every weight vector satisfies.
     ``candidate`` is the lexicographically smallest generator, the only
     possible single closure generator.  ``trivially_empty`` marks a strict
@@ -62,51 +62,52 @@ class Cone:
     lineality: tuple[tuple[int, ...], ...] = ()
 
 
+def _parent(b):
+    """``b`` less its last factor: one off the exponent of its largest variable."""
+    j = max(p for p, e in enumerate(b) if e)
+    return b[:j] + (b[j] - 1,) + b[j + 1:]
+
+
 def constraint_system(ideal: MonomialIdeal) -> ConstraintSystem:
     """Half-space system for the weights making ``ideal`` a principal closure.
 
-    Requires a strongly stable ideal with at least one generator.  Sinks of
-    the generator tree must reach at least the weighted degree of the
-    candidate, subsinks must stay strictly below it, and at every interior
-    vertex the largest branching variable must match the truncation of the
-    candidate's substituted image.  Vacuously true conditions are dropped.
+    Requires a strongly stable ideal with at least one generator, else
+    raises :class:`~wstable.closure.NotWStableError` naming the first
+    missing closure generator.  On the prefix walk over the generators'
+    exponent tuples, the sinks (the generators) must reach at least the
+    weighted degree of the candidate, the subsinks (each generator less its
+    last factor) must stay strictly below it, and at every interior vertex
+    (a proper prefix) the largest appended variable must match the
+    truncation of the candidate's substituted image.  Rows come in that
+    order, each family by exponents, then the monotone rows; vacuously true
+    ones are dropped.
     """
     n = ideal.nvars
-    _require_w_stable(ideal, WeightVector.ones(n))
+    w_borel_gens(ideal, WeightVector.ones(n))
     if ideal.is_zero():
         raise ValueError("the zero ideal has no candidate generator")
     m = ideal.lex_smallest_gen()
     a = m.exponents
-    tree = tree_from_ideal(ideal)
-    sinks = tree.sinks()
+    sinks = sorted(g.exponents for g in ideal.gens)
+    nexts = _prefix_walk(sinks)
 
-    halfspaces: list[HalfSpace] = []
+    halfspaces: dict[HalfSpace, None] = {}
     trivially_empty = False
 
     def add(normal, strict):
         nonlocal trivially_empty
         normal = tuple(normal)
-        if not any(normal):
-            if strict:
-                trivially_empty = True
-            return
-        hs = HalfSpace(normal, strict)
-        if hs not in seen:
-            seen.add(hs)
-            halfspaces.append(hs)
+        if any(normal):
+            halfspaces.setdefault(HalfSpace(normal, strict))
+        elif strict:
+            trivially_empty = True
 
-    seen: set[HalfSpace] = set()
-    by_exponents = lambda vs: sorted(vs, key=lambda v: v.exponents)
-
-    for v in by_exponents(sinks):
-        b = v.exponents
+    for b in sinks:
         add((bi - ai for ai, bi in zip(a, b)), strict=False)
-    for u in by_exponents(tree.subsinks()):
-        b = u.exponents
+    for b in sorted({_parent(b) for b in sinks if any(b)}):
         add((ai - bi for ai, bi in zip(a, b)), strict=True)
-    for u in by_exponents(tree.vertices() - sinks):
-        b = u.exponents
-        k = max(max_index(c) for c in tree.children(u))
+    for b in sorted(nexts):
+        k = max(nexts[b])
         add((b[p] - a[p] if p < k - 1 else b[p] for p in range(n)), strict=False)
         add((a[p] - b[p] if p < k else -b[p] for p in range(n)), strict=True)
     for p in range(n - 1):

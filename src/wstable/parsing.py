@@ -181,7 +181,7 @@ def format_monomial(m: Monomial, letters: bool = False) -> str:
     for i, e in enumerate(m.exponents, start=1):
         if e == 0:
             continue
-        name = LETTER_NAMES[i - 1] if letters else f"x{i}"
+        name = variable_name(i, letters)
         parts.append(name if e == 1 else f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 from operator import mul
 
 from .catalan import catalan_diagram
-from .closure import _require_w_stable
+from .closure import w_borel_gens
 from .ideals import MonomialIdeal
 from .monomials import Monomial, WeightVector, _branch_limits, max_index, weighted_degree
 from .trees import _prefix_walk
@@ -113,7 +113,7 @@ def stanley_decomposition(ideal: MonomialIdeal, w: WeightVector) -> StanleyDecom
     extend ``v`` to a longer prefix.  The weights only order the pieces, by
     weighted degree and then exponents.
     """
-    _require_w_stable(ideal, w)
+    w_borel_gens(ideal, w)
     n = ideal.nvars
     if ideal.is_zero():
         pieces = ((Monomial.unit(n), frozenset(range(1, n + 1))),)
@@ -190,7 +190,7 @@ def hilbert_series(ideal: MonomialIdeal, w: WeightVector) -> HilbertSeries:
     gives the structured terms: row sums below the weighted degree give the
     term counts and the branching limits give the free denominator blocks.
     """
-    bgens = _require_w_stable(ideal, w)
+    bgens = w_borel_gens(ideal, w)
     numerator = _poly_add({0: 1}, _poincare(ideal, w).at_u(-1))
     terms = None
     if len(bgens) == 1:
@@ -248,7 +248,7 @@ def poincare_series(ideal: MonomialIdeal, w: WeightVector) -> PoincarePolynomial
     contributes ``u t^d`` times the product of ``1 + u t^{w_k}`` over
     k < q, the Eliahou-Kervaire resolution in weighted form.
     """
-    _require_w_stable(ideal, w)
+    w_borel_gens(ideal, w)
     return _poincare(ideal, w)
 
 

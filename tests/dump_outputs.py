@@ -13,7 +13,11 @@ its stability, its weighted Borel generators, and the stability answer and
 ``NotWStableError`` message on the closure less one generator and on the
 seed ideal itself.  The principal part covers 3,000 cases of Catalan rows,
 generator statistics, Hilbert numerators and terms, ``meet_w`` and truncation
-tree adjacency under random bounds.
+tree adjacency under random bounds.  The cone part covers 600 standard
+closures (n = 1-5, 1-3 seeds, exponents <= 3) and the unit ideal: the
+constraint system's half-spaces, candidate and ``trivially_empty``, the
+extreme rays, emptiness, the principal weight vector, and the half-spaces or
+the ``NotWStableError`` message of the closure less one generator.
 """
 
 import random
@@ -25,10 +29,14 @@ from wstable import (
     NotWStableError,
     WeightVector,
     catalan_diagram,
+    cone_rays,
+    constraint_system,
     generator_stats,
     hilbert_series,
     is_w_stable,
     meet_w,
+    open_region_is_empty,
+    principal_weight_vector,
     tree_from_monomial,
     w_borel_gens,
     w_closure,
@@ -95,6 +103,38 @@ def dump_principal(out):
         print(" tree", bound, tree_from_monomial(m, w, bound).adjacency_lines(), file=out)
 
 
+def _halfspaces(ideal):
+    try:
+        system = constraint_system(ideal)
+    except ValueError as err:
+        return f"{type(err).__name__} {err}"
+    return [(hs.normal, hs.strict) for hs in system.halfspaces]
+
+
+def _cone(system):
+    return system.trivially_empty, cone_rays(system).rays, open_region_is_empty(system)
+
+
+def dump_cones(out):
+    for n in (1, 3):
+        unit = MonomialIdeal.unit(n)
+        print(n, _halfspaces(unit), _cone(constraint_system(unit)), file=out)
+    rng = random.Random(4)
+    for case in range(600):
+        n = rng.randint(1, 5)
+        seeds = [_monomial(rng, n, 3) for _ in range(rng.randint(1, 3))]
+        closed = w_closure(seeds, WeightVector.ones(n))
+        system = constraint_system(closed)
+        found = principal_weight_vector(closed)
+        print(case, n, [s.exponents for s in seeds], system.candidate.exponents, file=out)
+        print(" system", _halfspaces(closed), file=out)
+        print(" cone", _cone(system), None if found is None else found.weights, file=out)
+        gens = closed.sorted_gens()
+        del gens[rng.randrange(len(gens))]
+        print(" less one", _halfspaces(MonomialIdeal(n, gens)), file=out)
+
+
 if __name__ == "__main__":
     dump_closures(sys.stdout)
     dump_principal(sys.stdout)
+    dump_cones(sys.stdout)

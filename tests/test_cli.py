@@ -3,6 +3,7 @@
 import json
 
 import golden
+from timing import time_limit
 from wstable.cli import main
 
 
@@ -22,6 +23,14 @@ def test_closure_text(capsys):
     code, out, _ = run_cli(capsys, "closure", "x1*x2*x3^2", "--weights", "3,2,1")
     assert code == 0
     assert out.strip() == "x1*x2*x3^2, x1^3, x1^2*x2, x1^2*x3, x1*x2^2"
+
+
+def test_closure_of_huge_exponent_is_one_generator(capsys):
+    """The closure walk does not step through the degree, so a huge exponent is cheap."""
+    with time_limit(1.0):
+        code, out, _ = run_cli(capsys, "closure", "x1^100000000")
+    assert code == 0
+    assert out.strip() == "x1^100000000"
 
 
 def test_closure_json_schema(capsys):

@@ -1,8 +1,11 @@
 """Constraint systems, extreme rays, and principal weight vectors."""
 
 import random
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from oracles import (
@@ -20,10 +23,12 @@ from wstable import (
     WeightVector,
     cone_rays,
     constraint_system,
+    max_index,
     open_region_is_empty,
     parse_ideal,
     parse_monomial,
     principal_weight_vector,
+    tree_from_ideal,
     w_closure,
 )
 from wstable.cone import ConstraintSystem, _monotone_seed
@@ -58,6 +63,73 @@ def test_constraint_system_rejects_non_stable():
         constraint_system(parse_ideal("x2^2", 2))
     with pytest.raises(ValueError):
         constraint_system(MonomialIdeal.zero(2))
+
+
+def _tree_constraint_system(ideal):
+    """Reference system read off the generator tree of ``ideal`` built as ``Monomial`` objects.
+
+    Rows for the sinks, the subsinks (vertices with an edge into a sink)
+    and the interior vertices, each family sorted by exponents, then the
+    monotone rows; the first copy of a repeated row is kept.
+    """
+    n = ideal.nvars
+    m = ideal.lex_smallest_gen()
+    a = m.exponents
+    tree = tree_from_ideal(ideal)
+    sinks = tree.sinks()
+    rows = []
+    trivially_empty = False
+
+    def add(normal, strict):
+        nonlocal trivially_empty
+        normal = tuple(normal)
+        if not any(normal):
+            trivially_empty |= strict
+        elif HalfSpace(normal, strict) not in rows:
+            rows.append(HalfSpace(normal, strict))
+
+    def by_exponents(vertices):
+        return sorted(v.exponents for v in vertices)
+
+    for b in by_exponents(sinks):
+        add((bi - ai for ai, bi in zip(a, b)), strict=False)
+    for b in by_exponents(tree.subsinks()):
+        add((ai - bi for ai, bi in zip(a, b)), strict=True)
+    for u in sorted(tree.vertices() - sinks, key=lambda v: v.exponents):
+        b = u.exponents
+        k = max(max_index(c) for c in tree.children(u))
+        add((b[p] - a[p] if p < k - 1 else b[p] for p in range(n)), strict=False)
+        add((a[p] - b[p] if p < k else -b[p] for p in range(n)), strict=True)
+    for p in range(n - 1):
+        add((1 if q == p else -1 if q == p + 1 else 0 for q in range(n)), strict=False)
+    add((1 if q == n - 1 else 0 for q in range(n)), strict=True)
+    return ConstraintSystem(n, tuple(rows), m, trivially_empty)
+
+
+def test_constraint_system_matches_tree_reference():
+    """Half-spaces in order, candidate and ``trivially_empty`` on seeded standard closures."""
+    rng = random.Random(89)
+    ideals = [MonomialIdeal.unit(n) for n in (1, 3)]
+    while len(ideals) < 120:
+        n = rng.randint(1, 5)
+        seeds = [random_monomial(rng, n, 3) for _ in range(rng.randint(1, 3))]
+        ideals.append(w_closure(seeds, WeightVector.ones(n)))
+    for ideal in ideals:
+        assert constraint_system(ideal) == _tree_constraint_system(ideal), ideal
+
+
+@st.composite
+def standard_closures(draw):
+    """The standard closure of 1-3 seeds: n <= 4, exponents <= 3, not the zero ideal."""
+    n = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))
+    return w_closure([Monomial(s) for s in seeds], WeightVector.ones(n))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=timedelta(seconds=5))
+@given(standard_closures())
+def test_constraint_system_matches_tree_reference_drawn(ideal):
+    assert constraint_system(ideal) == _tree_constraint_system(ideal)
 
 
 def test_cone_rays_golden():
