@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
+from operator import sub
 
 from .closure import w_borel_gens, w_closure
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector
+from .monomials import Monomial, WeightVector, _prefix_below
 from .trees import _prefix_walk
 
 
@@ -137,18 +139,41 @@ def _monotone_seed(n):
     return rays, normals
 
 
+def _essential(halfspaces) -> list[HalfSpace]:
+    """The rows that neither the monotone seed cone nor another row implies.
+
+    Rows are compared by their prefix sums, the smallest total first; a row
+    is kept when some prefix sum is negative and no kept row's prefix sums
+    lie at or below its own.  Strictness is dropped.
+    """
+    rows = {tuple(accumulate(h.normal)) for h in halfspaces}
+    kept = []
+    for sums in sorted((s for s in rows if min(s) < 0), key=lambda s: (sum(s), s)):
+        if not any(_prefix_below(k, sums) for k in kept):
+            kept.append(sums)
+    return [HalfSpace(tuple(map(sub, s, (0,) + s))) for s in kept]
+
+
 def cone_rays(system: ConstraintSystem) -> Cone:
     """Extreme rays of the closed cone of a constraint system.
 
     Double description with exact integer arithmetic: the monotone
-    non-negative cone seeds the ray set and each half-space is processed in
-    turn, keeping non-negative rays and adding combinations of adjacent
-    positive/negative pairs.  Every ray carries the bit set of processed
-    constraints tight at it, and adjacency is the combinatorial test of
-    Fukuda and Prodon: two rays are adjacent when they share at least
-    ``n - 2`` tight constraints and no third ray is tight on all of them.
-    The seed is pointed, so the cone has no lineality space.  Rays come
-    back primitive, deduplicated, in lexicographic descending order.
+    non-negative cone seeds the ray set and each essential half-space is
+    processed in turn, keeping non-negative rays and adding combinations of
+    adjacent positive/negative pairs.  Every ray carries the bit set of
+    processed constraints tight at it, and adjacency is the combinatorial
+    test of Fukuda and Prodon: two rays are adjacent when they share at
+    least ``n - 2`` tight constraints and no third ray is tight on all of
+    them.  The seed is pointed, so the cone has no lineality space.  Rays
+    come back primitive, deduplicated, in lexicographic descending order.
+
+    The closed cone ignores strictness, and the seed implies most rows.  On
+    the seed, Abel summation gives ``a . w = sum_k A_k (w_k - w_{k+1})``
+    with ``A`` the prefix sums of ``a``, ``w_{n+1} = 0`` and every
+    difference ``>= 0``.  So a row whose prefix sums are all ``>= 0`` holds
+    on the whole seed, and a row whose prefix sums lie componentwise at or
+    above another's holds wherever that one does.  ``_essential`` drops both
+    kinds, and only the rows it keeps are processed.
     """
     n = system.nvars
     seed_rays, seed_normals = _monotone_seed(n)
@@ -156,7 +181,7 @@ def cone_rays(system: ConstraintSystem) -> Cone:
     rays = {r: sum(1 << k for k, a in enumerate(seed_normals)
                    if not HalfSpace(a).value(r))
             for r in seed_rays}
-    for k, hs in enumerate(system.halfspaces, start=len(seed_normals)):
+    for k, hs in enumerate(_essential(system.halfspaces), start=len(seed_normals)):
         values = {r: hs.value(r) for r in rays}
         bit = 1 << k
         pos = [r for r in rays if values[r] > 0]

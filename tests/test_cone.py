@@ -15,6 +15,7 @@ from oracles import (
     random_monomial,
     rank,
 )
+from timing import time_limit
 from wstable import (
     HalfSpace,
     Monomial,
@@ -31,7 +32,7 @@ from wstable import (
     tree_from_ideal,
     w_closure,
 )
-from wstable.cone import ConstraintSystem, _monotone_seed
+from wstable.cone import ConstraintSystem, _essential, _monotone_seed
 
 
 def test_constraint_system_golden_candidate_and_families():
@@ -155,6 +156,109 @@ def test_cone_rays_full_monotone_cone_for_maximal_ideal():
         assert system.open_region_contains((w1, w2))
 
 
+def _unfiltered_cone_rays(system):
+    """Reference extreme rays: double description over every row of ``system`` in order.
+
+    The seed cone, the tight-set adjacency test and the ray order are those
+    of ``cone_rays``, but no row is dropped as implied.
+    """
+    n = system.nvars
+    seed_rays, seed_normals = _monotone_seed(n)
+    rays = {r: sum(1 << k for k, a in enumerate(seed_normals)
+                   if not HalfSpace(a).value(r))
+            for r in seed_rays}
+    for k, hs in enumerate(system.halfspaces, start=len(seed_normals)):
+        values = {r: hs.value(r) for r in rays}
+        bit = 1 << k
+        new = {r: z | bit if not values[r] else z
+               for r, z in rays.items() if values[r] >= 0}
+        for rp in (r for r in rays if values[r] > 0):
+            for rn in (r for r in rays if values[r] < 0):
+                common = rays[rp] & rays[rn]
+                if common.bit_count() < n - 2 or any(
+                        r not in (rp, rn) and common & z == common
+                        for r, z in rays.items()):
+                    continue
+                combo = primitive(
+                    values[rp] * x - values[rn] * y for x, y in zip(rn, rp))
+                new[combo] = common | bit
+        rays = new
+    return tuple(sorted(rays, reverse=True))
+
+
+def test_cone_rays_match_unfiltered_reference():
+    """Rays on the unit ideal and seeded standard closures (n = 1-5, 1-3 seeds, exponents <= 3)."""
+    rng = random.Random(97)
+    ideals = [MonomialIdeal.unit(n) for n in (1, 3)]
+    while len(ideals) < 120:
+        n = rng.randint(1, 5)
+        seeds = [random_monomial(rng, n, 3) for _ in range(rng.randint(1, 3))]
+        ideals.append(w_closure(seeds, WeightVector.ones(n)))
+    for ideal in ideals:
+        system = constraint_system(ideal)
+        assert cone_rays(system).rays == _unfiltered_cone_rays(system), ideal
+
+
+# The essential rows of the standard closure of x1^2*x2^3*x4*x5,
+# x1^2*x3^2*x4^3*x5^2 and x1^3*x3^2*x5^2: six rows whose closed cone is the apex.
+_APEX_5 = ((-4, 0, 2, 3, 2), (0, -2, -2, 3, 2), (-2, 0, 2, -1, 2),
+           (1, 0, 0, -3, 0), (0, -3, 2, 3, 0), (0, 3, -2, -2, -1))
+
+
+@pytest.mark.parametrize("nvars, rows", [
+    # duplicate normals with both strictnesses
+    (3, [((-1, 2, 0), True), ((-1, 2, 0), False), ((0, -1, 2), False),
+         ((0, -1, 2), True), ((1, -1, 0), False)]),
+    # every prefix sum >= 0: the seed cone implies them all
+    (3, [((1, 0, 0), True), ((2, -1, -1), False), ((0, 1, -1), False),
+         ((0, 0, 0), False), ((1, -1, 1), True)]),
+    # the same, with one essential row among them
+    (4, [((1, 0, 0, 0), True), ((-2, 1, 0, 2), False), ((0, 1, -1, 0), False)]),
+    # a dominance chain: each row is the previous one plus x1
+    (4, [((-3 + c, 1, 1, 1), bool(c % 2)) for c in range(5)]),
+    # an apex, with a dominated copy (plus x1) of every row
+    (5, [(r, True) for r in _APEX_5]
+        + [((r[0] + 1,) + r[1:], False) for r in _APEX_5]),
+    (2, []),
+])
+def test_cone_rays_match_unfiltered_reference_on_hand_built_systems(nvars, rows):
+    system = ConstraintSystem(nvars, tuple(HalfSpace(a, s) for a, s in rows),
+                              Monomial.unit(nvars))
+    assert cone_rays(system).rays == _unfiltered_cone_rays(system)
+
+
+@st.composite
+def constraint_systems(draw):
+    """A system of 0-7 rows in n <= 4 variables, entries in [-3, 3], either strictness."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * n), st.booleans()),
+                         max_size=7))
+    return ConstraintSystem(n, tuple(HalfSpace(a, s) for a, s in rows), Monomial.unit(n))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=timedelta(seconds=5))
+@given(constraint_systems())
+def test_cone_rays_match_unfiltered_reference_drawn(system):
+    assert cone_rays(system).rays == _unfiltered_cone_rays(system)
+
+
+@pytest.mark.parametrize("d, rows", [(8, 4721), (10, 13015)])
+def test_prefilter_keeps_one_row_of_a_high_power(d, rows):
+    """The standard closure of ``x6^d``: one essential row, and the same six rays."""
+    system = constraint_system(w_closure([Monomial((0,) * 5 + (d,))], WeightVector.ones(6)))
+    assert len(system.halfspaces) == rows
+    assert len(_essential(system.halfspaces)) == 1
+    assert cone_rays(system).rays == tuple(
+        (d,) * k + (d - 1,) * (6 - k) for k in range(5, 0, -1)) + ((1,) * 6,)
+
+
+def test_principal_weight_vector_at_scale():
+    ideal = w_closure([Monomial((0,) * 5 + (10,))], WeightVector.ones(6))
+    with time_limit(0.3):
+        found = principal_weight_vector(ideal)
+    assert tuple(found) == (51, 50, 49, 48, 47, 46)
+
+
 def test_rays_satisfy_all_closed_constraints():
     cases = [(golden.CONE_IDEAL_TEXT, 3), (golden.NOT_PRINCIPAL_IDEAL_TEXT, 3),
              ("x1, x2^2", 2), ("x1^2, x1*x2, x2^2", 2)]
@@ -247,6 +351,8 @@ def test_cone_collapses_to_apex():
     cone = cone_rays(system)
     assert cone.rays == ()
     assert cone.lineality == ()
+    system = ConstraintSystem(5, tuple(map(HalfSpace, _APEX_5)), Monomial.unit(5))
+    assert cone_rays(system).rays == ()
 
 
 def test_open_region_emptiness_simple_cases():
