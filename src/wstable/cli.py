@@ -14,9 +14,8 @@ import sys
 from .catalan import catalan_diagram, generator_stats
 from .closure import NotWStableError, is_w_stable, w_borel_gens, w_closure
 from .cone import cone_rays, constraint_system, principal_weight_vector
-from .monomials import DimensionMismatch, WeightVector
+from .monomials import WeightVector
 from .parsing import (
-    ParseError,
     format_ideal,
     format_monomial,
     naming_mode,
@@ -125,12 +124,9 @@ def main(argv=None) -> int:
         text, monomial, ideal, weights, letters = _resolve_inputs(args)
         payload, lines, exit_code = _dispatch(
             args.command, monomial, ideal, weights, letters, args.expand_to)
-    except (_UsageError, ParseError, DimensionMismatch, ValueError) as err:
-        if isinstance(err, NotWStableError):
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_CONTRACT
+    except (_UsageError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CONTRACT if isinstance(err, NotWStableError) else EXIT_USAGE
     if args.as_json:
         document = {"command": args.command, "input": text,
                     "weights": list(weights), "result": payload}

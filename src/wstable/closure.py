@@ -10,7 +10,7 @@ weighted Borel generators, and only those are used.
 from __future__ import annotations
 
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, _check_nvars, _prefix_below, _prefix_sums, truncate
+from .monomials import Monomial, WeightVector, _check_nvars, _minimal_vectors, _prefix_sums, truncate
 
 
 class NotWStableError(ValueError):
@@ -30,8 +30,10 @@ class NotWStableError(ValueError):
 
 
 def _exponents(monomials, w: WeightVector) -> list[tuple[int, ...]]:
+    """Exponent tuples of an ideal, checked once, or of monomials, checked each."""
     if isinstance(monomials, MonomialIdeal):
-        monomials = monomials.gens
+        _check_nvars(monomials, w)
+        return [g.exponents for g in monomials.gens]
     out = []
     for m in monomials:
         _check_nvars(m, w)
@@ -39,23 +41,18 @@ def _exponents(monomials, w: WeightVector) -> list[tuple[int, ...]]:
     return out
 
 
-def _borel_gens(gens, w: WeightVector):
-    """``(exponents, prefix sums)`` of the dominance-minimal exponent vectors.
+def _borel_gens(gens, w: WeightVector) -> dict:
+    """Prefix sums of the dominance-minimal exponent vectors, each mapped to its vector.
 
-    In (weighted degree, exponents) order a vector comes after every other
-    vector whose prefix sums are at most its own, so one pass against the
-    vectors kept so far finds them.
+    Dominance is componentwise ``<=`` on prefix sums, so the shared filter
+    :func:`~wstable.monomials._minimal_vectors` finds them.
     """
-    kept = []
-    for e, p in sorted(((e, _prefix_sums(e, w)) for e in set(gens)),
-                       key=lambda ep: (ep[1][-1], ep[0])):
-        if not any(_prefix_below(q, p) for _, q in kept):
-            kept.append((e, p))
-    return kept
+    prefix = {_prefix_sums(e, w): e for e in gens}
+    return {p: prefix[p] for p in _minimal_vectors(prefix)}
 
 
 def _close(bgens, w: WeightVector) -> set[tuple[int, ...]]:
-    """Minimal generators of the closure of dominance-minimal ``bgens``.
+    """Minimal generators of the closure of the dominance-minimal prefix sums ``bgens``.
 
     ``u`` is one exactly when it lies in the closure and ``u / x_max(u)``
     does not (Eliahou-Kervaire).  The walk picks ``u_1, u_2, ...`` in turn,
@@ -66,7 +63,7 @@ def _close(bgens, w: WeightVector) -> set[tuple[int, ...]]:
     """
     weights = tuple(w)
     closed = set()
-    stack = [((), 0, [p for _, p in bgens])] if bgens else []
+    stack = [((), 0, list(bgens))] if bgens else []
     while stack:
         head, low, cands = stack.pop()
         k = len(head)
@@ -104,7 +101,7 @@ def w_closure(monomials, w: WeightVector) -> MonomialIdeal:
     expanded and no ``minimalize`` runs.
     """
     closed = _close(_borel_gens(_exponents(monomials, w), w), w)
-    return MonomialIdeal._minimal(w.nvars, map(Monomial, closed))
+    return MonomialIdeal._minimal(w.nvars, map(Monomial._of, closed))
 
 
 def is_w_stable(ideal: MonomialIdeal, w: WeightVector) -> bool:
@@ -122,16 +119,16 @@ def w_borel_gens(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
 
     These are the minimal generators outside the closure of every other
     generator: no other generator's weighted prefix sums are componentwise
-    at most theirs.  One pass in (weighted degree, exponents) order finds
-    them, and stability is checked by closing only them, so this is the
-    library's one stability check.  A non-stable input raises
+    at most theirs.  The shared minimal-vector filter finds them, and
+    stability is checked by closing only them, so this is the library's one
+    stability check.  A non-stable input raises
     :class:`NotWStableError` whose witness is the first missing generator
     of the closure in graded-lex descending order.
     """
     bgens, missing = _stability(ideal, w)
     if missing:
-        raise NotWStableError(w, Monomial(max(missing, key=lambda u: (sum(u), u))))
-    return frozenset(Monomial(b) for b, _ in bgens)
+        raise NotWStableError(w, Monomial._of(max(missing, key=lambda u: (sum(u), u))))
+    return frozenset(map(Monomial._of, bgens.values()))
 
 
 def trunc_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:

@@ -9,7 +9,7 @@ from operator import sub
 
 from .closure import w_borel_gens, w_closure
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, _prefix_below
+from .monomials import Monomial, WeightVector, _minimal_vectors
 from .trees import _prefix_walk
 
 
@@ -142,15 +142,13 @@ def _monotone_seed(n):
 def _essential(halfspaces) -> list[HalfSpace]:
     """The rows that neither the monotone seed cone nor another row implies.
 
-    Rows are compared by their prefix sums, the smallest total first; a row
-    is kept when some prefix sum is negative and no kept row's prefix sums
-    lie at or below its own.  Strictness is dropped.
+    A row is kept when some prefix sum is negative and its prefix sums are
+    minimal under componentwise ``<=`` among those rows, as found by the
+    shared filter :func:`~wstable.monomials._minimal_vectors`; rows come in
+    its (sum, prefix sums) order.  Strictness is dropped.
     """
     rows = {tuple(accumulate(h.normal)) for h in halfspaces}
-    kept = []
-    for sums in sorted((s for s in rows if min(s) < 0), key=lambda s: (sum(s), s)):
-        if not any(_prefix_below(k, sums) for k in kept):
-            kept.append(sums)
+    kept = _minimal_vectors(s for s in rows if min(s) < 0)
     return [HalfSpace(tuple(map(sub, s, (0,) + s))) for s in kept]
 
 
@@ -173,7 +171,8 @@ def cone_rays(system: ConstraintSystem) -> Cone:
     difference ``>= 0``.  So a row whose prefix sums are all ``>= 0`` holds
     on the whole seed, and a row whose prefix sums lie componentwise at or
     above another's holds wherever that one does.  ``_essential`` drops both
-    kinds, and only the rows it keeps are processed.
+    kinds with the shared filter ``monomials._minimal_vectors``, and only
+    the rows it keeps are processed.
     """
     n = system.nvars
     seed_rays, seed_normals = _monotone_seed(n)

@@ -2,25 +2,23 @@
 
 from __future__ import annotations
 
-from itertools import groupby
-
-from .monomials import DimensionMismatch, Monomial
+from .monomials import DimensionMismatch, Monomial, _minimal_vectors
 
 
 def minimalize(monomials) -> list[Monomial]:
     """The divisibility-minimal subset of a collection of monomials.
 
     Idempotent; duplicates collapse.  All inputs must share one variable
-    count.  Inputs are taken by degree, and each is compared only against
-    the kept monomials of lower degree: of equal degree, a monomial
-    divides only itself.
+    count, else :class:`DimensionMismatch` is raised.  Divisibility is
+    componentwise ``<=`` on exponent tuples, so the shared filter
+    :func:`~wstable.monomials._minimal_vectors` finds them, listed by
+    degree and then exponents.
     """
-    minimal: list[Monomial] = []
-    for _, group in groupby(sorted(set(monomials), key=lambda m: (m.degree(), m.exponents)),
-                            key=Monomial.degree):
-        lower = tuple(minimal)
-        minimal.extend(m for m in group if not any(g.divides(m) for g in lower))
-    return minimal
+    exponents = {m.exponents for m in monomials}
+    counts = {len(e) for e in exponents}
+    if len(counts) > 1:
+        raise DimensionMismatch(f"variable counts differ: {min(counts)} vs {max(counts)}")
+    return [Monomial._of(e) for e in _minimal_vectors(exponents)]
 
 
 class MonomialIdeal:

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import le, mul, sub
+from itertools import accumulate, groupby
+from operator import itemgetter, le, mul, sub
 
 
 class DimensionMismatch(ValueError):
@@ -225,9 +225,20 @@ def _branch_limits(exponents, weights, bound: int) -> list[int]:
     return [min(bisect_right(prefix, d) + 1, top) for d in range(bound)]
 
 
-def _prefix_below(low, high) -> bool:
-    """Whether ``low <= high`` componentwise, on two prefix-sum vectors."""
-    return all(map(le, low, high))
+def _minimal_vectors(vectors) -> list[tuple[int, ...]]:
+    """The componentwise-minimal vectors of a collection, in (sum, vector) order.
+
+    Duplicates collapse and entries may be negative.  A vector is compared
+    only with the kept vectors of smaller sum: of two distinct vectors with
+    equal sums, neither lies at or below the other.  Minimal generators
+    under divisibility, weighted Borel generators under prefix-sum dominance
+    and the cone's essential rows are all this filter.
+    """
+    kept: list[tuple[int, ...]] = []
+    for _, group in groupby(sorted((sum(v), v) for v in set(vectors)), key=itemgetter(0)):
+        lower = tuple(kept)
+        kept.extend(v for _, v in group if not any(all(map(le, k, v)) for k in lower))
+    return kept
 
 
 def w_borel_below(m: Monomial, u: Monomial, w: WeightVector) -> bool:
@@ -242,7 +253,7 @@ def w_borel_below(m: Monomial, u: Monomial, w: WeightVector) -> bool:
     """
     _check_nvars(m, u)
     _check_nvars(m, w)
-    return _prefix_below(_prefix_sums(m.exponents, w), _prefix_sums(u.exponents, w))
+    return all(map(le, _prefix_sums(m.exponents, w), _prefix_sums(u.exponents, w)))
 
 
 def meet_w(u: Monomial, v: Monomial, w: WeightVector):

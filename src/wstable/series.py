@@ -10,7 +10,7 @@ from operator import mul
 from .catalan import catalan_diagram
 from .closure import w_borel_gens
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, _branch_limits, max_index, weighted_degree
+from .monomials import Monomial, WeightVector, _branch_limits, max_index
 from .trees import _prefix_walk
 
 
@@ -94,7 +94,7 @@ class StanleyDecomposition:
         """Number of complement monomials of the given weighted degree."""
         total = 0
         for coset, free in self.pieces:
-            rem = wdeg - weighted_degree(coset, self.weights)
+            rem = wdeg - sum(map(mul, self.weights, coset.exponents))
             if rem < 0:
                 continue
             free_weights = tuple(sorted(self.weights[j - 1] for j in free))
@@ -253,18 +253,15 @@ def poincare_series(ideal: MonomialIdeal, w: WeightVector) -> PoincarePolynomial
 
 
 def _poincare(ideal: MonomialIdeal, w: WeightVector) -> PoincarePolynomial:
-    shapes = Counter((weighted_degree(g, w), max_index(g)) for g in ideal.gens)
+    """Shift the prefix products of ``1 + u t^{w_k}`` by each generator shape."""
+    koszul = [{(0, 0): 1}]
+    for wk in w.weights[:-1]:
+        koszul.append(_poly_mul(koszul[-1], {(0, 0): 1, (1, wk): 1}))
+    shapes = Counter((sum(map(mul, w, g.exponents)), max_index(g)) for g in ideal.gens)
     coeffs = {}
     for (degree, maxidx), count in shapes.items():
-        coeffs = _poly_add(coeffs, _generator_contribution(degree, maxidx, w, count))
+        coeffs = _poly_add(coeffs, _poly_mul({(1, degree): count}, koszul[maxidx - 1]))
     return PoincarePolynomial(coeffs)
-
-
-def _generator_contribution(degree, maxidx, w, count=1):
-    term = {(1, degree): count}
-    for k in range(maxidx - 1):
-        term = _poly_mul(term, {(0, 0): 1, (1, w[k]): 1})
-    return term
 
 
 def betti_numbers(ideal: MonomialIdeal, w: WeightVector):

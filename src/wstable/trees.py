@@ -119,8 +119,8 @@ def tree_from_monomial(m: Monomial, w: WeightVector, bound: int | None = None) -
         bound = weighted_degree(m, w)
     edges = set()
     for v, kids in _expand(m.exponents, w, bound):
-        parent = Monomial(v)
-        edges.update((parent, Monomial(c)) for c in kids)
+        parent = Monomial._of(v)
+        edges.update((parent, Monomial._of(c)) for c in kids)
     return TruncationTree(Monomial.unit(m.nvars), frozenset(edges), bound)
 
 
@@ -131,7 +131,7 @@ def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
         bound = weighted_degree(m, w)
     for v, kids in _expand(m.exponents, w, bound):
         if not kids:
-            yield Monomial(v)
+            yield Monomial._of(v)
 
 
 def _prefix_walk(gens) -> dict:
@@ -166,6 +166,6 @@ def tree_from_ideal(ideal: MonomialIdeal) -> TruncationTree:
     """
     edges = set()
     for v, nexts in _prefix_walk(g.exponents for g in ideal.gens).items():
-        parent = Monomial(v)
+        parent = Monomial._of(v)
         edges.update((parent, parent.times_variable(j)) for j in nexts)
     return TruncationTree(Monomial.unit(ideal.nvars), frozenset(edges), None)

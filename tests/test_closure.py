@@ -21,6 +21,7 @@ from oracles import (
 )
 from timing import time_limit
 from wstable import (
+    DimensionMismatch,
     Monomial,
     MonomialIdeal,
     NotWStableError,
@@ -82,6 +83,17 @@ def test_closure_operator_properties():
         bigger = w_closure(gens + [random_monomial(rng, n)], w)
         assert all(bigger.contains(g) for g in closed.gens)
         assert w_closure(closed, w) == closed
+
+
+def test_closure_checks_variable_counts():
+    """Monomial lists are checked one by one, and an ideal, the zero ideal
+    included, once."""
+    with pytest.raises(DimensionMismatch):
+        w_closure([Monomial((1, 0)), Monomial((1, 0, 0))], golden.ONES2)
+    with pytest.raises(DimensionMismatch):
+        w_closure(MonomialIdeal.unit(3), golden.ONES2)
+    with pytest.raises(DimensionMismatch):
+        is_w_stable(MonomialIdeal.zero(3), golden.ONES2)
 
 
 def test_is_w_stable_golden():

@@ -61,6 +61,24 @@ def test_minimalize_x6_power_generators_at_scale():
     assert len(ideal) == 1287
 
 
+def test_minimalize_rejects_mixed_variable_counts():
+    """Mixed variable counts raise whether or not the degrees differ."""
+    with pytest.raises(DimensionMismatch):
+        minimalize([Monomial((1,)), Monomial((0, 1))])
+    with pytest.raises(DimensionMismatch):
+        minimalize([Monomial((1,)), Monomial((1, 1))])
+
+
+def test_minimalize_weighted_closure_generators_at_scale():
+    """The 544 generators, in 7 degrees, of the (3,2,2,1,1,1)-closure of
+    x1*x2*x3*x4*x5*x6^6 are all minimal."""
+    gens = list(w_closure([Monomial((1, 1, 1, 1, 1, 6))], WeightVector((3, 2, 2, 1, 1, 1))).gens)
+    assert len(gens) == 544 and len({g.degree() for g in gens}) == 7
+    with time_limit(0.1):
+        ideal = MonomialIdeal(6, gens)
+    assert ideal.gens == frozenset(gens)
+
+
 def test_ideal_construction_minimalizes():
     ideal = MonomialIdeal(2, [Monomial((1, 0)), Monomial((1, 1))])
     assert ideal.gens == {Monomial((1, 0))}

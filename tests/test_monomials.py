@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import all_monomials, borel_closure_by_moves, principal_cases, random_monomial
 from wstable import (
@@ -18,6 +20,7 @@ from wstable import (
     w_borel_below,
     weighted_degree,
 )
+from wstable.monomials import _minimal_vectors
 
 W21 = WeightVector((2, 1))
 W321 = WeightVector((3, 2, 1))
@@ -116,6 +119,19 @@ def test_w_borel_below_matches_move_oracle():
             closure = borel_closure_by_moves([psi(m, w)], 2)
             for u in all_monomials(2, 4):
                 assert w_borel_below(m, u, w) == closure.contains(psi(u, w))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=25)), st.integers(0, 8))
+def test_minimal_vectors_matches_pairwise_filter(vectors, repeats):
+    """On vectors with negative entries, mixed sums and repeats, the shared
+    filter keeps exactly the vectors no other vector lies at or below, once
+    each, in (sum, vector) order."""
+    vectors = vectors + vectors[:repeats]
+    pairwise = {v for v in vectors
+                if not any(u != v and all(a <= b for a, b in zip(u, v)) for u in vectors)}
+    assert _minimal_vectors(vectors) == sorted(pairwise, key=lambda v: (sum(v), v))
 
 
 def _relation(monomials, w):
