@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from operator import sub
+from operator import mul
 
 from .closure import w_borel_gens, w_closure
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, _minimal_vectors
+from .monomials import DimensionMismatch, Monomial, WeightVector, _minimal_vectors
 from .trees import _prefix_walk
 
 
@@ -21,7 +21,9 @@ class HalfSpace:
     strict: bool = False
 
     def value(self, w) -> int:
-        return sum(a * b for a, b in zip(self.normal, w))
+        if len(w) != len(self.normal):
+            raise DimensionMismatch(f"variable counts differ: {len(self.normal)} vs {len(w)}")
+        return sum(map(mul, self.normal, w))
 
     def holds(self, w, closed: bool = False) -> bool:
         v = self.value(w)
@@ -130,58 +132,44 @@ def _primitive(vec) -> tuple[int, ...]:
     return tuple(v // g for v in vec) if g else vec
 
 
-def _monotone_seed(n):
-    """Rays and normals of the cone of non-increasing non-negative vectors."""
-    rays = [tuple(1 if q <= p else 0 for q in range(n)) for p in range(n)]
-    normals = [tuple(1 if q == p else -1 if q == p + 1 else 0 for q in range(n))
-               for p in range(n - 1)]
-    normals.append(tuple(1 if q == n - 1 else 0 for q in range(n)))
-    return rays, normals
+def _essential(halfspaces) -> list[tuple[int, ...]]:
+    """The prefix sums ``A`` of the rows that neither ``d >= 0`` nor another row implies.
 
-
-def _essential(halfspaces) -> list[HalfSpace]:
-    """The rows that neither the monotone seed cone nor another row implies.
-
-    A row is kept when some prefix sum is negative and its prefix sums are
-    minimal under componentwise ``<=`` among those rows, as found by the
-    shared filter :func:`~wstable.monomials._minimal_vectors`; rows come in
-    its (sum, prefix sums) order.  Strictness is dropped.
+    A row is kept when some ``A_k`` is negative and ``A`` is minimal under
+    componentwise ``<=`` among those rows: the shared filter
+    :func:`~wstable.monomials._minimal_vectors`, in its (sum, vector) order.
+    Strictness is dropped.  :func:`cone_rays` gives the argument.
     """
     rows = {tuple(accumulate(h.normal)) for h in halfspaces}
-    kept = _minimal_vectors(s for s in rows if min(s) < 0)
-    return [HalfSpace(tuple(map(sub, s, (0,) + s))) for s in kept]
+    return _minimal_vectors(s for s in rows if min(s) < 0)
 
 
 def cone_rays(system: ConstraintSystem) -> Cone:
     """Extreme rays of the closed cone of a constraint system.
 
-    Double description with exact integer arithmetic: the monotone
-    non-negative cone seeds the ray set and each essential half-space is
-    processed in turn, keeping non-negative rays and adding combinations of
-    adjacent positive/negative pairs.  Every ray carries the bit set of
-    processed constraints tight at it, and adjacency is the combinatorial
-    test of Fukuda and Prodon: two rays are adjacent when they share at
-    least ``n - 2`` tight constraints and no third ray is tight on all of
-    them.  The seed is pointed, so the cone has no lineality space.  Rays
-    come back primitive, deduplicated, in lexicographic descending order.
+    Exact double description in the coordinates ``d_k = w_k - w_{k+1}``
+    (``w_{n+1} = 0``).  Abel summation gives ``a . w = sum_k A_k d_k`` with
+    ``A`` the prefix sums of ``a``, and the monotone rows become ``d >= 0``.
+    So a row whose ``A`` is ``>= 0`` holds on that whole orthant, and a row
+    whose ``A`` lies componentwise at or above another's holds wherever that
+    one does: :func:`_essential` drops both, and strictness, which the closed
+    cone ignores.
 
-    The closed cone ignores strictness, and the seed implies most rows.  On
-    the seed, Abel summation gives ``a . w = sum_k A_k (w_k - w_{k+1})``
-    with ``A`` the prefix sums of ``a``, ``w_{n+1} = 0`` and every
-    difference ``>= 0``.  So a row whose prefix sums are all ``>= 0`` holds
-    on the whole seed, and a row whose prefix sums lie componentwise at or
-    above another's holds wherever that one does.  ``_essential`` drops both
-    kinds with the shared filter ``monomials._minimal_vectors``, and only
-    the rows it keeps are processed.
+    The orthant's unit vectors seed the rays, and each kept row is processed
+    in turn, keeping non-negative rays and adding combinations of adjacent
+    positive/negative pairs.  Every ray carries the bit set of processed
+    constraints tight at it, and adjacency is the combinatorial test of
+    Fukuda and Prodon: two rays are adjacent when they share at least
+    ``n - 2`` tight constraints and no third ray is tight on all of them.
+    The seed is pointed, so there is no lineality space.  Suffix sums map the
+    rays back to ``w``; the map is unimodular, so they stay primitive and
+    distinct.  They come back in lexicographic descending order.
     """
     n = system.nvars
-    seed_rays, seed_normals = _monotone_seed(n)
-    # ray -> bit set of the processed constraints it is tight on
-    rays = {r: sum(1 << k for k, a in enumerate(seed_normals)
-                   if not HalfSpace(a).value(r))
-            for r in seed_rays}
-    for k, hs in enumerate(_essential(system.halfspaces), start=len(seed_normals)):
-        values = {r: hs.value(r) for r in rays}
+    # ray -> bit set of the processed constraints it is tight on; bit p is d_p >= 0
+    rays = {tuple(int(q == p) for q in range(n)): ((1 << n) - 1) ^ (1 << p) for p in range(n)}
+    for k, row in enumerate(_essential(system.halfspaces), start=n):
+        values = {r: sum(map(mul, row, r)) for r in rays}
         bit = 1 << k
         pos = [r for r in rays if values[r] > 0]
         neg = [r for r in rays if values[r] < 0]
@@ -198,7 +186,7 @@ def cone_rays(system: ConstraintSystem) -> Cone:
                     values[rp] * x - values[rn] * y for x, y in zip(rn, rp))
                 new[combo] = common | bit
         rays = new
-    return Cone(tuple(sorted(rays, reverse=True)))
+    return Cone(tuple(sorted((tuple(accumulate(d[::-1]))[::-1] for d in rays), reverse=True)))
 
 
 def _ray_sum(system: ConstraintSystem) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, groupby
-from operator import itemgetter, le, mul, sub
+from operator import index, itemgetter, le, mul, sub
 
 
 class DimensionMismatch(ValueError):
@@ -77,6 +77,8 @@ class Monomial:
 
     def times_variable(self, index: int) -> "Monomial":
         """Multiply by the variable with 1-based ``index``."""
+        if not 1 <= index <= self.nvars:
+            raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
         exps = list(self.exponents)
         exps[index - 1] += 1
         return Monomial(tuple(exps))
@@ -183,14 +185,14 @@ def psi_inverse(u: Monomial, w: WeightVector):
 def truncate(u: Monomial, d: int) -> Monomial:
     """Product of the ``d`` smallest-index variable factors of ``u``.
 
-    For ``d`` at least the degree of ``u`` the result is ``u`` itself, and
-    ``d = 0`` gives the unit monomial.
+    It has ``min(P_k, d)`` factors of index ``<= k``, for ``P`` the prefix
+    sums of ``u``'s exponents, so its exponents are those clamped sums' steps.
     """
+    d = index(d)
     if d < 0:
         raise ValueError("truncation length must be non-negative")
-    if d >= u.degree():
-        return u
-    return Monomial.from_factors(factored_indices(u)[:d], u.nvars)
+    clamped = [min(p, d) for p in accumulate(u.exponents)]
+    return Monomial._of(tuple(map(sub, clamped, [0] + clamped[:-1])))
 
 
 def max_index(u: Monomial) -> int:

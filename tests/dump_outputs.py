@@ -12,8 +12,10 @@ graded and half with weights 1-3; 1-6 seeds; exponents <= 3): the closure,
 its stability, its weighted Borel generators, and the stability answer and
 ``NotWStableError`` message on the closure less one generator and on the
 seed ideal itself.  The principal part covers 3,000 cases of Catalan rows,
-generator statistics, Hilbert numerators and terms, ``meet_w`` and truncation
-tree adjacency under random bounds.  The cone part covers 600 standard
+generator statistics, Hilbert numerators and terms, ``meet_w``, truncation
+tree adjacency under random bounds, and ``truncate`` at lengths up to two
+past the degree (drawn from a second seeded generator, so that the other
+lines do not move when these are added).  The cone part covers 600 standard
 closures (n = 1-5, 1-3 seeds, exponents <= 3) and the unit ideal: the
 constraint system's half-spaces, candidate and ``trivially_empty``, the
 extreme rays, emptiness, the principal weight vector, and the half-spaces or
@@ -38,6 +40,7 @@ from wstable import (
     open_region_is_empty,
     principal_weight_vector,
     tree_from_monomial,
+    truncate,
     w_borel_gens,
     w_closure,
 )
@@ -88,6 +91,7 @@ def dump_closures(out):
 
 def dump_principal(out):
     rng = random.Random(3)
+    cuts = random.Random(5)
     for case in range(3000):
         n = rng.randint(1, 5)
         w = _weights(rng, n, 4)
@@ -101,6 +105,8 @@ def dump_principal(out):
         print(" hilbert", series.numerator, series.terms, file=out)
         print(" meet", None if meet is None else meet.exponents, file=out)
         print(" tree", bound, tree_from_monomial(m, w, bound).adjacency_lines(), file=out)
+        cut = cuts.randint(0, m.degree() + 2)
+        print(" truncate", cut, truncate(m, cut).exponents, file=out)
 
 
 def _halfspaces(ideal):

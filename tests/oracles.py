@@ -197,6 +197,19 @@ def primitive(vec) -> tuple[int, ...]:
     return tuple(v // g for v in vec) if g else vec
 
 
+def monotone_seed(n: int):
+    """Rays and normals of the cone of non-increasing non-negative vectors in ``n`` entries.
+
+    The rays are ``(1, ..., 1, 0, ..., 0)`` with ``p + 1`` ones; the normals
+    are ``w_p - w_{p+1} >= 0`` for ``p < n - 1``, then ``w_n >= 0``.
+    """
+    rays = [tuple(1 if q <= p else 0 for q in range(n)) for p in range(n)]
+    normals = [tuple(1 if q == p else -1 if q == p + 1 else 0 for q in range(n))
+               for p in range(n - 1)]
+    normals.append(tuple(1 if q == n - 1 else 0 for q in range(n)))
+    return rays, normals
+
+
 def _row_reduce(rows, n: int):
     """Reduced row echelon form over the rationals, and its pivot columns."""
     mat = [[Fraction(v) for v in row] for row in rows]

@@ -11,12 +11,14 @@ import golden
 from oracles import (
     fourier_motzkin_is_empty,
     kernel_basis,
+    monotone_seed,
     primitive,
     random_monomial,
     rank,
 )
 from timing import time_limit
 from wstable import (
+    DimensionMismatch,
     HalfSpace,
     Monomial,
     MonomialIdeal,
@@ -32,7 +34,7 @@ from wstable import (
     tree_from_ideal,
     w_closure,
 )
-from wstable.cone import ConstraintSystem, _essential, _monotone_seed
+from wstable.cone import ConstraintSystem, _essential
 
 
 def test_constraint_system_golden_candidate_and_families():
@@ -142,7 +144,7 @@ def test_cone_rays_golden():
 
 def test_cone_rays_monotone_orthant():
     system = ConstraintSystem(2, tuple(
-        HalfSpace(n) for n in _monotone_seed(2)[1]), Monomial((1, 0)))
+        HalfSpace(n) for n in monotone_seed(2)[1]), Monomial((1, 0)))
     assert cone_rays(system).rays == ((1, 1), (1, 0))
 
 
@@ -159,11 +161,12 @@ def test_cone_rays_full_monotone_cone_for_maximal_ideal():
 def _unfiltered_cone_rays(system):
     """Reference extreme rays: double description over every row of ``system`` in order.
 
-    The seed cone, the tight-set adjacency test and the ray order are those
-    of ``cone_rays``, but no row is dropped as implied.
+    It runs on ``w`` itself, seeded with the monotone cone of
+    ``oracles.monotone_seed``, and drops no row as implied.  The tight-set
+    adjacency test and the ray order are those of ``cone_rays``.
     """
     n = system.nvars
-    seed_rays, seed_normals = _monotone_seed(n)
+    seed_rays, seed_normals = monotone_seed(n)
     rays = {r: sum(1 << k for k, a in enumerate(seed_normals)
                    if not HalfSpace(a).value(r))
             for r in seed_rays}
@@ -268,6 +271,16 @@ def test_rays_satisfy_all_closed_constraints():
             assert system.closed_cone_contains(ray)
 
 
+@pytest.mark.parametrize("w", [(1, 1, 5), (1,), ()])
+def test_membership_rejects_a_vector_of_the_wrong_length(w):
+    system = constraint_system(parse_ideal("x1^2, x1*x2, x2^2", 2))
+    assert system.open_region_contains((1, 1))
+    for check in (system.halfspaces[0].holds, system.open_region_contains,
+                  system.closed_cone_contains):
+        with pytest.raises(DimensionMismatch):
+            check(w)
+
+
 def _brute_force_rays(system):
     """Extreme rays by kernel enumeration over constraint subsets.
 
@@ -278,7 +291,7 @@ def _brute_force_rays(system):
     import itertools
 
     n = system.nvars
-    normals = [hs.normal for hs in system.halfspaces] + _monotone_seed(n)[1]
+    normals = [hs.normal for hs in system.halfspaces] + monotone_seed(n)[1]
     rays = set()
     for subset in itertools.combinations(range(len(normals)), n - 1):
         basis = kernel_basis([normals[k] for k in subset], n)

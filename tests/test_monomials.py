@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_monomials, borel_closure_by_moves, principal_cases, random_monomial
+from timing import time_limit
 from wstable import (
     DimensionMismatch,
     Monomial,
@@ -84,6 +85,10 @@ def test_truncate_known_values():
     assert truncate(m, 4) == Monomial((1, 3, 0))
     assert truncate(Monomial((0, 2)), 5) == Monomial((0, 2))
     assert truncate(Monomial((1, 1)), 0) == Monomial.unit(2)
+    with pytest.raises(ValueError, match="non-negative"):
+        truncate(Monomial((1, 1)), -1)
+    with pytest.raises(TypeError):
+        truncate(Monomial((1, 1)), 0.5)
 
 
 def test_truncate_at_full_degree_is_identity():
@@ -95,6 +100,36 @@ def test_truncate_monotone_under_divisibility():
     for m in all_monomials(2, 5):
         for d in range(m.degree()):
             assert truncate(m, d).divides(truncate(m, d + 1))
+
+
+@st.composite
+def monomials_and_lengths(draw):
+    """A monomial in 1-4 variables with exponents <= 5, and a length up to two past its degree."""
+    n = draw(st.integers(1, 4))
+    m = Monomial(tuple(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    return m, draw(st.integers(0, m.degree() + 2))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(monomials_and_lengths())
+def test_truncate_matches_factor_prefix(case):
+    m, d = case
+    assert truncate(m, d) == Monomial.from_factors(factored_indices(m)[:d], m.nvars)
+
+
+def test_truncate_is_independent_of_the_degree():
+    m = Monomial((10**7, 1))
+    with time_limit(0.05):
+        assert truncate(m, 3) == Monomial((3, 0))
+
+
+def test_times_variable_checks_its_index():
+    m = Monomial((1, 2))
+    assert m.times_variable(1) == Monomial((2, 2))
+    assert m.times_variable(2) == Monomial((1, 3))
+    for index in (0, -1, 3):
+        with pytest.raises(ValueError, match=f"variable index {index} out of range 1..2"):
+            m.times_variable(index)
 
 
 def test_max_index():
