@@ -15,15 +15,7 @@ from .catalan import catalan_diagram, generator_stats
 from .closure import NotWStableError, is_w_stable, w_borel_gens, w_closure
 from .cone import cone_rays, constraint_system, principal_weight_vector
 from .monomials import WeightVector
-from .parsing import (
-    format_ideal,
-    format_monomial,
-    naming_mode,
-    parse_ideal,
-    parse_monomial,
-    parse_weights,
-    variable_name,
-)
+from .parsing import _parse, format_ideal, format_monomial, parse_weights, variable_name
 from .series import (
     betti_numbers,
     format_betti_table,
@@ -97,17 +89,11 @@ def _resolve_inputs(args):
             raise _UsageError(
                 f"--nvars {nvars} conflicts with {weights.nvars} weights")
         nvars = weights.nvars
-    letters = naming_mode(text) == "letters"
-    if args.command in MONOMIAL_COMMANDS:
-        monomial = parse_monomial(text, nvars)
-        ideal = None
-        n = monomial.nvars
-    else:
-        ideal = parse_ideal(text, nvars)
-        monomial = None
-        n = ideal.nvars
+    is_ideal = args.command not in MONOMIAL_COMMANDS
+    parsed, letters = _parse(text, nvars, is_ideal)
+    monomial, ideal = (None, parsed) if is_ideal else (parsed, None)
     if weights is None:
-        weights = WeightVector.ones(n)
+        weights = WeightVector.ones(parsed.nvars)
     return text, monomial, ideal, weights, letters
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import add, le
+
 from .monomials import DimensionMismatch, Monomial, _minimal_vectors
 
 
@@ -71,7 +73,8 @@ class MonomialIdeal:
         if m.nvars != self.nvars:
             raise DimensionMismatch(
                 f"monomial has {m.nvars} variables, expected {self.nvars}")
-        return any(g.divides(m) for g in self.gens)
+        u = m.exponents
+        return any(all(map(le, g.exponents, u)) for g in self.gens)
 
     def sorted_gens(self) -> list[Monomial]:
         """Generators in graded-lex descending order."""
@@ -88,13 +91,17 @@ class MonomialIdeal:
         return MonomialIdeal(self.nvars, tuple(self.gens) + tuple(other.gens))
 
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check(other)
-        return MonomialIdeal(self.nvars, (a * b for a in self.gens for b in other.gens))
+        return self._pairwise(other, add)
 
     def intersection(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection via pairwise least common multiples of generators."""
+        return self._pairwise(other, max)
+
+    def _pairwise(self, other, op):
+        """The ideal generated by ``op`` applied entrywise to each pair of generators."""
         self._check(other)
-        return MonomialIdeal(self.nvars, (a.lcm(b) for a in self.gens for b in other.gens))
+        vectors = {tuple(map(op, a.exponents, b.exponents)) for a in self.gens for b in other.gens}
+        return MonomialIdeal._minimal(self.nvars, map(Monomial._of, _minimal_vectors(vectors)))
 
     def _check(self, other):
         if self.nvars != other.nvars:

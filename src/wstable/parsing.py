@@ -1,17 +1,31 @@
-"""Parsing and printing of monomials, ideals, and weight vectors."""
+"""Parsing and printing of monomials, ideals, and weight vectors.
+
+An ideal is a comma-separated list of monomials; ``0`` is the zero ideal
+and needs an explicit variable count.  A monomial is a ``*``-separated
+product of the coefficient ``1`` and variables with optional ``^``
+exponents, named ``x1`` or ``x_1``, or ``x, y, z`` for at most three
+variables (the first name fixes the naming).  A weight vector is a
+comma-separated list of positive integers.  Each text is tokenized once,
+and a :class:`ParseError` gives the 0-based position of the character or
+token at fault.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 from .ideals import MonomialIdeal
 from .monomials import Monomial, WeightVector
 
 LETTER_NAMES = ("x", "y", "z")
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z]+(?:_?\d+)?)|(?P<int>\d+)"
-                    r"|(?P<op>[*^,]))")
+# One token per match, with the whitespace after it, so ``match.start()`` is
+# the token's position.  A name carries its stem, index and ``^`` power.
+_TOKEN = re.compile(r"(?:(?P<name>(?P<stem>[A-Za-z]+)(?:_?(?P<index>\d+))?)"
+                    r"(?:\s*\^\s*(?P<power>\d+))?|(?P<int>\d+)|(?P<op>[*^,])|(?P<bad>\S))\s*")
 
 
 class ParseError(ValueError):
@@ -23,20 +37,19 @@ class ParseError(ValueError):
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        kind = match.lastgroup
-        tokens.append((kind, match.group(kind), match.start(kind)))
-        pos = match.end()
+    """``(position, name, stem, index, power, int, op, bad)`` per token.
+
+    A character that starts no token is reported before any grammar error.
+    """
+    tokens = [(m.start(), *m.groups()) for m in _TOKEN.finditer(text)]
+    bad = next(filter(itemgetter(-1), tokens), None)
+    if bad:
+        raise ParseError(f"unexpected character {bad[-1]!r}", bad[0])
     return tokens
+
+
+def _letters(tokens) -> bool:
+    return next((token[1] in LETTER_NAMES for token in tokens if token[1]), False)
 
 
 def naming_mode(text: str) -> str:
@@ -46,124 +59,100 @@ def naming_mode(text: str) -> str:
     an indexed name such as ``x2`` or ``x_2`` selects ``indexed`` mode,
     which is also the default when no identifier occurs.
     """
-    for kind, value, _ in _tokenize(text):
-        if kind == "name":
-            return "letters" if value in LETTER_NAMES else "indexed"
-    return "indexed"
+    return "letters" if _letters(_tokenize(text)) else "indexed"
 
 
-def _variable_index(name, pos, letters):
-    if letters:
-        if name in LETTER_NAMES:
-            return LETTER_NAMES.index(name) + 1
-        raise ParseError(f"unknown variable {name!r}", pos)
-    match = re.fullmatch(r"x_?(\d+)", name)
-    if match is None:
-        raise ParseError(f"unknown variable {name!r}", pos)
-    index = int(match.group(1))
-    if index < 1:
-        raise ParseError(f"unknown variable {name!r}", pos)
-    return index
+def _parse(text, nvars, ideal):
+    """Parse ``text`` as an ideal or, if not ``ideal``, as one monomial.
 
-
-def _parse_monomial_tokens(tokens, letters):
-    """Parse one monomial; returns a dict index -> exponent."""
-    if not tokens:
-        raise ParseError("empty monomial", 0)
-    exps: dict[int, int] = {}
-    expect_factor = True
-    i = 0
-    while i < len(tokens):
-        kind, value, pos = tokens[i]
-        if expect_factor:
-            if kind == "name":
-                index = _variable_index(value, pos, letters)
-                power = 1
-                if i + 1 < len(tokens) and tokens[i + 1][1] == "^":
-                    if i + 2 >= len(tokens) or tokens[i + 2][0] != "int":
-                        raise ParseError("malformed exponent", tokens[i + 1][2])
-                    power = int(tokens[i + 2][1])
-                    i += 2
-                exps[index] = exps.get(index, 0) + power
-            elif kind == "int":
-                if value != "1":
+    Returns the result and whether the names are letters.  A monomial is
+    the one-group case: its commas are not separators.
+    """
+    tokens = _tokenize(text)
+    letters = _letters(tokens)
+    if ideal and len(tokens) == 1 and tokens[0][5] == "0":
+        if nvars is None:
+            raise ParseError("the zero ideal needs an explicit variable count", 0)
+        return MonomialIdeal.zero(nvars), letters
+    groups = [{}]
+    star = None         # position of the '*' awaiting a factor; None at a group's start
+    factor = None       # the token awaiting a '*', ',' or the end
+    top = top_at = 0    # largest variable index and where it first occurs
+    for token in tokens:
+        pos, name, stem, index, power, integer, op, _ = token
+        if factor is None:
+            if name:
+                if letters:
+                    k = LETTER_NAMES.index(name) + 1 if name in LETTER_NAMES else 0
+                else:
+                    k = int(index) if stem == "x" and index else 0
+                if k < 1:
+                    raise ParseError(f"unknown variable {name!r}", pos)
+                if k > top:
+                    top, top_at = k, pos
+                exps = groups[-1]
+                exps[k] = exps.get(k, 0) + (int(power) if power else 1)
+            elif integer:
+                if integer != "1":
                     raise ParseError(
-                        f"unexpected coefficient {value!r}; only monomials are allowed", pos)
+                        f"unexpected coefficient {integer!r}; only monomials are allowed", pos)
+            elif ideal and op == ",":
+                _end_group(star)
             else:
-                raise ParseError(f"expected a variable, got {value!r}", pos)
-            expect_factor = False
+                raise ParseError(f"expected a variable, got {op!r}", pos)
+            factor = token
+        elif op == "*":
+            star, factor = pos, None
+        elif ideal and op == ",":
+            groups.append({})
+            star = factor = None
+        elif op == "^" and factor[1] and not factor[4]:     # a name whose '^' has no integer
+            raise ParseError("malformed exponent", pos)
         else:
-            if kind == "op" and value == "*":
-                expect_factor = True
-            else:
-                raise ParseError(f"expected '*', got {value!r}", pos)
-        i += 1
-    if expect_factor:
-        raise ParseError("dangling '*'", tokens[-1][2])
-    return exps
+            raise ParseError(f"expected '*', got {name or integer or op!r}", pos)
+    if factor is None:
+        _end_group(star)
+    if nvars is not None and top > nvars:
+        raise ParseError(f"variable index {top} exceeds the variable count {nvars}", top_at)
+    if nvars is not None and letters and nvars > 3:
+        raise ParseError("letter naming supports at most 3 variables", 0)
+    n = max(top, 1) if nvars is None else nvars
+    gens = [Monomial._of(tuple(map(exps.get, range(1, n + 1), repeat(0)))) for exps in groups]
+    return (MonomialIdeal(n, gens) if ideal else gens[0]), letters
 
 
-def _split_commas(tokens):
-    groups, current = [], []
-    for tok in tokens:
-        if tok[0] == "op" and tok[1] == ",":
-            groups.append(current)
-            current = []
-        else:
-            current.append(tok)
-    groups.append(current)
-    return groups
+def _end_group(star):
+    """A group ends where a factor is due: after a '*', or before its first factor."""
+    raise ParseError("empty monomial", 0) if star is None else ParseError("dangling '*'", star)
 
 
 def parse_monomial(text: str, nvars: int | None = None) -> Monomial:
     """Parse a single monomial expression such as ``x1^2*x2`` or ``x*y^3``."""
-    letters = naming_mode(text) == "letters"
-    tokens = _tokenize(text)
-    exps = _parse_monomial_tokens(tokens, letters)
-    n = _resolve_nvars([exps], nvars, letters, tokens)
-    return Monomial(tuple(exps.get(i, 0) for i in range(1, n + 1)))
+    return _parse(text, nvars, False)[0]
 
 
 def parse_ideal(text: str, nvars: int | None = None) -> MonomialIdeal:
     """Parse a comma-separated list of monomials; ``0`` denotes the zero ideal."""
-    letters = naming_mode(text) == "letters"
-    tokens = _tokenize(text)
-    if len(tokens) == 1 and tokens[0][0] == "int" and tokens[0][1] == "0":
-        if nvars is None:
-            raise ParseError("the zero ideal needs an explicit variable count", 0)
-        return MonomialIdeal.zero(nvars)
-    groups = _split_commas(tokens)
-    parsed = [_parse_monomial_tokens(group, letters) for group in groups]
-    n = _resolve_nvars(parsed, nvars, letters, tokens)
-    gens = [Monomial(tuple(exps.get(i, 0) for i in range(1, n + 1))) for exps in parsed]
-    return MonomialIdeal(n, gens)
-
-
-def _resolve_nvars(parsed, nvars, letters, tokens):
-    used = max((i for exps in parsed for i in exps), default=0)
-    if nvars is None:
-        return max(used, 1)
-    if used > nvars:
-        pos = tokens[0][2] if tokens else 0
-        raise ParseError(
-            f"variable index {used} exceeds the variable count {nvars}", pos)
-    if letters and nvars > 3:
-        raise ParseError("letter naming supports at most 3 variables", 0)
-    return nvars
+    return _parse(text, nvars, True)[0]
 
 
 def parse_weights(text: str) -> WeightVector:
     """Parse a comma-separated weight vector such as ``3,2,1``."""
     tokens = _tokenize(text)
-    groups = _split_commas(tokens)
-    weights = []
-    positions = []
-    for group in groups:
-        if len(group) != 1 or group[0][0] != "int":
-            pos = group[0][2] if group else (tokens[-1][2] if tokens else 0)
-            raise ParseError("expected an integer weight", pos)
-        weights.append(int(group[0][1]))
-        positions.append(group[0][2])
+    weights, positions = [], []
+    for i, (pos, *_, integer, op, _) in enumerate(tokens):
+        if i % 2 == 0 and integer:
+            weights.append(int(integer))
+            positions.append(pos)
+        elif op != ",":
+            raise ParseError("expected an integer weight", positions[-1] if i % 2 else pos)
+        elif i % 2 == 0:
+            break
+    if len(tokens) != 2 * len(weights) - 1:
+        # an empty slot is reported at the last token, a name's power being a token of its own
+        pos, _, _, _, power, *_ = tokens[-1] if tokens else (0, None, None, None, None)
+        raise ParseError("expected an integer weight",
+                         len(text.rstrip()) - len(power) if power else pos)
     for w, pos in zip(weights, positions):
         if w < 1:
             raise ParseError(f"weight {w} is not positive", pos)
@@ -206,8 +195,8 @@ class IdealExpression:
 
     @classmethod
     def parse(cls, text: str, nvars: int | None = None) -> "IdealExpression":
-        ideal = parse_ideal(text, nvars)
-        return cls(text, ideal, naming_mode(text) == "letters")
+        ideal, letters = _parse(text, nvars, True)
+        return cls(text, ideal, letters)
 
     def format(self) -> str:
         return format_ideal(self.ideal, self.letters)

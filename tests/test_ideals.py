@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import (
+    _in_ideal,
     _minimal_exponents,
     all_monomials,
     in_w_closure_oracle,
@@ -148,6 +149,27 @@ def test_contains_respects_arithmetic():
             for u in monomials:
                 if a.contains(m) and b.contains(u):
                     assert (a * b).contains(m * u)
+
+
+def test_membership_product_and_intersection_match_oracles():
+    """Membership against a divisor scan; products and intersections against
+    the pairwise minimal sums and maxima of the generator pairs."""
+    rng = random.Random(97)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a, b = (MonomialIdeal(n, [random_monomial(rng, n) for _ in range(rng.randint(0, 5))])
+                for _ in range(2))
+        ga, gb = [g.exponents for g in a.gens], [g.exponents for g in b.gens]
+        for _ in range(5):
+            u = random_monomial(rng, n, max_exponent=5)
+            assert a.contains(u) == _in_ideal(u.exponents, ga)
+        sums = (tuple(map(sum, zip(p, q))) for p in ga for q in gb)
+        maxima = (tuple(map(max, p, q)) for p in ga for q in gb)
+        assert {g.exponents for g in (a * b).gens} == _minimal_exponents(sums)
+        assert {g.exponents for g in a.intersection(b).gens} == _minimal_exponents(maxima)
+        assert (a * b).nvars == a.intersection(b).nvars == n
+    with pytest.raises(DimensionMismatch):
+        a.contains(Monomial.unit(n + 1))
 
 
 def test_sorted_gens_graded_lex_descending():

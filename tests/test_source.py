@@ -1,6 +1,7 @@
 """Static checks on the library source."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "wstable"
@@ -28,4 +29,20 @@ def test_library_has_no_assert_statements():
              for path in files
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if _is_self_check(node)]
+    assert found == []
+
+
+def test_library_imports_the_standard_library_only():
+    """Every import is relative or names a standard-library module."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
