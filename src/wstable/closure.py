@@ -134,13 +134,11 @@ def w_borel_gens(ideal: MonomialIdeal, w: WeightVector) -> frozenset[Monomial]:
 def trunc_ideal(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     """Truncation of a strongly stable ideal at degree ``d``.
 
-    Equals the Borel closure of the d-truncations of the Borel generators.
-    The 0-truncation is the unit ideal.
+    Equals the Borel closure of the d-truncations of the Borel generators,
+    so the 0-truncation of a nonzero ideal is the unit ideal.
     """
     if d < 0:
         raise ValueError("truncation degree must be non-negative")
-    if d == 0:
-        return MonomialIdeal.unit(ideal.nvars)
     ones = WeightVector.ones(ideal.nvars)
     truncated = [truncate(b, d) for b in w_borel_gens(ideal, ones)]
     return w_closure(truncated, ones)

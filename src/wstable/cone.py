@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
-from operator import mul
+from operator import mul, sub
 
 from .closure import w_borel_gens, w_closure
 from .ideals import MonomialIdeal
@@ -39,7 +39,8 @@ class ConstraintSystem:
     monotonicity/positivity constraints that every weight vector satisfies.
     ``candidate`` is the lexicographically smallest generator, the only
     possible single closure generator.  ``trivially_empty`` marks a strict
-    condition that degenerated to ``0 > 0``.
+    condition that degenerated to ``0 > 0``; only a hand-built system sets
+    it, since :func:`constraint_system` never writes one.
     """
 
     nvars: int
@@ -77,14 +78,23 @@ def constraint_system(ideal: MonomialIdeal) -> ConstraintSystem:
 
     Requires a strongly stable ideal with at least one generator, else
     raises :class:`~wstable.closure.NotWStableError` naming the first
-    missing closure generator.  On the prefix walk over the generators'
-    exponent tuples, the sinks (the generators) must reach at least the
-    weighted degree of the candidate, the subsinks (each generator less its
-    last factor) must stay strictly below it, and at every interior vertex
-    (a proper prefix) the largest appended variable must match the
-    truncation of the candidate's substituted image.  Rows come in that
-    order, each family by exponents, then the monotone rows; vacuously true
-    ones are dropped.
+    missing closure generator.  A row ``(u, v, strict)`` reads ``w . u >=
+    w . v`` (``>`` if strict); its normal is ``u - v``.  With ``a`` the
+    candidate and ``a<=k = a[:k] + 0``, the prefix walk over the generators
+    gives, each family sorted: ``(b, a)`` for each sink ``b`` (a generator);
+    ``(a, p, strict)`` for each subsink ``p`` (a generator less its last
+    factor); ``(b, a<=k-1)`` and ``(a<=k, b, strict)`` for each interior
+    vertex ``b`` (a proper prefix; ``k`` its largest appended index); then
+    ``(e_p, e_{p+1})`` for ``p < n`` and ``(e_n, 0, strict)``.  Zero normals
+    and repeats are dropped.
+
+    No strict row vanishes, so ``trivially_empty`` stays unset.  A subsink
+    row vanishes only if ``a`` is a generator's parent, which it then
+    properly divides, against minimality.  An interior strict row vanishes
+    only if ``b = a<=k``.  If ``a`` has a factor past ``k``, ``b`` is a
+    proper prefix of ``a`` and the walk appends that factor's index, above
+    ``k``, to ``b``, against the choice of ``k``.  Otherwise ``b = a`` is a
+    proper prefix of another generator, against minimality.
     """
     n = ideal.nvars
     w_borel_gens(ideal, WeightVector.ones(n))
@@ -92,33 +102,20 @@ def constraint_system(ideal: MonomialIdeal) -> ConstraintSystem:
         raise ValueError("the zero ideal has no candidate generator")
     m = ideal.lex_smallest_gen()
     a = m.exponents
+    zero = (0,) * n
+    head = [a[:k] + zero[k:] for k in range(n + 1)]
+    unit = [zero[:p] + (1,) + zero[p + 1:] for p in range(n)]
     sinks = sorted(g.exponents for g in ideal.gens)
     nexts = _prefix_walk(sinks)
-
-    halfspaces: dict[HalfSpace, None] = {}
-    trivially_empty = False
-
-    def add(normal, strict):
-        nonlocal trivially_empty
-        normal = tuple(normal)
-        if any(normal):
-            halfspaces.setdefault(HalfSpace(normal, strict))
-        elif strict:
-            trivially_empty = True
-
-    for b in sinks:
-        add((bi - ai for ai, bi in zip(a, b)), strict=False)
-    for b in sorted({_parent(b) for b in sinks if any(b)}):
-        add((ai - bi for ai, bi in zip(a, b)), strict=True)
+    rows = [(b, a, False) for b in sinks]
+    rows += [(a, p, True) for p in sorted({_parent(b) for b in sinks if any(b)})]
     for b in sorted(nexts):
         k = max(nexts[b])
-        add((b[p] - a[p] if p < k - 1 else b[p] for p in range(n)), strict=False)
-        add((a[p] - b[p] if p < k else -b[p] for p in range(n)), strict=True)
-    for p in range(n - 1):
-        add((1 if q == p else -1 if q == p + 1 else 0 for q in range(n)), strict=False)
-    add((1 if q == n - 1 else 0 for q in range(n)), strict=True)
-
-    return ConstraintSystem(n, tuple(halfspaces), m, trivially_empty)
+        rows += [(b, head[k - 1], False), (head[k], b, True)]
+    rows += [(u, v, False) for u, v in zip(unit, unit[1:])]
+    rows.append((unit[-1], zero, True))
+    halfspaces = (HalfSpace(tuple(map(sub, u, v)), strict) for u, v, strict in rows)
+    return ConstraintSystem(n, tuple(dict.fromkeys(h for h in halfspaces if any(h.normal))), m)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        exps = tuple(map(index, self.exponents))
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
@@ -98,7 +98,7 @@ class WeightVector:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        ws = tuple(int(w) for w in self.weights)
+        ws = tuple(map(index, self.weights))
         if not ws:
             raise ValueError("weight vector must not be empty")
         if ws[-1] < 1:

@@ -68,6 +68,8 @@ def _parse(text, nvars, ideal):
     Returns the result and whether the names are letters.  A monomial is
     the one-group case: its commas are not separators.
     """
+    if nvars is not None and nvars < 1:
+        raise ValueError(f"variable count must be at least 1, got {nvars}")
     tokens = _tokenize(text)
     letters = _letters(tokens)
     if ideal and len(tokens) == 1 and tokens[0][5] == "0":

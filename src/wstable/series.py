@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul
 
 from .catalan import catalan_diagram
@@ -63,7 +62,6 @@ def _term_text(coeff, powers):
     return "*".join(factors)
 
 
-@lru_cache(maxsize=None)
 def _weighted_counts(weights: tuple[int, ...], bound: int) -> tuple[int, ...]:
     """Number of exponent vectors of each weighted degree up to ``bound``."""
     counts = [0] * (bound + 1)

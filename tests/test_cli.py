@@ -194,6 +194,21 @@ def test_nvars_weights_conflict(capsys):
     assert "conflicts" in err
 
 
+def test_nvars_below_one(capsys):
+    for count in ("-2", "0"):
+        code, out, err = run_cli(capsys, "closure", "1", "--nvars", count)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: variable count must be at least 1, got {count}\n"
+
+
+def test_help(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage:")
+    assert err == ""
+
+
 def test_usage_error_unknown_command(capsys):
     code, _, err = run_cli(capsys, "frobnicate", "x1")
     assert code == 1

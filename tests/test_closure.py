@@ -160,6 +160,16 @@ def test_trunc_ideal_known_values():
     assert trunc_ideal(borel_y2sq, 1) == MonomialIdeal(2, [Monomial((1, 0)), Monomial((0, 1))])
     assert trunc_ideal(borel_y2sq, 5) == borel_y2sq
     assert trunc_ideal(borel_y2sq, 0) == MonomialIdeal.unit(2)
+    with pytest.raises(ValueError, match="non-negative"):
+        trunc_ideal(borel_y2sq, -1)
+
+
+def test_trunc_ideal_at_degree_zero_is_no_special_case():
+    """The zero ideal stays zero and a non-stable ideal is rejected at every degree."""
+    for d in range(3):
+        assert trunc_ideal(MonomialIdeal.zero(2), d) == MonomialIdeal.zero(2)
+        with pytest.raises(NotWStableError):
+            trunc_ideal(parse_ideal("x2", 2), d)
 
 
 def test_trunc_ideal_matches_elementwise_oracle():

@@ -1,5 +1,6 @@
 """Minimal generating sets and ideal arithmetic."""
 
+import operator
 import random
 
 import pytest
@@ -94,6 +95,10 @@ def test_zero_and_unit():
     assert unit.is_unit() and not unit.is_zero()
     assert not zero.contains(Monomial((1, 0)))
     assert unit.contains(Monomial.unit(2))
+    assert hash(unit) == hash(MonomialIdeal(2, [Monomial((0, 0)), Monomial((1, 0))]))
+    assert hash(zero) == hash(MonomialIdeal.zero(2))
+    assert repr(zero) == "MonomialIdeal(n=2, gens=[])"
+    assert repr(unit) == "MonomialIdeal(n=2, gens=[(0, 0)])"
 
 
 def test_contains_known_values():
@@ -170,6 +175,9 @@ def test_membership_product_and_intersection_match_oracles():
         assert (a * b).nvars == a.intersection(b).nvars == n
     with pytest.raises(DimensionMismatch):
         a.contains(Monomial.unit(n + 1))
+    for combine in (operator.add, operator.mul, MonomialIdeal.intersection):
+        with pytest.raises(DimensionMismatch):
+            combine(a, MonomialIdeal.unit(n + 1))
 
 
 def test_sorted_gens_graded_lex_descending():

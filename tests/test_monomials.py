@@ -35,6 +35,8 @@ def test_weight_vector_validation():
         WeightVector((2, 0))
     with pytest.raises(ValueError):
         WeightVector(())
+    with pytest.raises(TypeError):
+        WeightVector((2.7, 1))
     assert WeightVector.ones(3).weights == (1, 1, 1)
     assert W321.max_weight == 3
 
@@ -275,6 +277,14 @@ def test_meet_is_least_common_dominator():
 def test_monomial_validation_and_ops():
     with pytest.raises(ValueError):
         Monomial((-1, 0))
+    for exponents in ((1.5, 2), ("3",)):
+        with pytest.raises(TypeError):
+            Monomial(exponents)
+    for index in (0, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            Monomial.variable(index, 3)
+        with pytest.raises(ValueError, match="out of range"):
+            Monomial.from_factors((1, index), 3)
     m = Monomial.from_factors((1, 2, 2, 2, 3, 3), 3)
     assert m == Monomial((1, 3, 2))
     assert Monomial.variable(2, 3) == Monomial((0, 1, 0))

@@ -69,6 +69,17 @@ def test_parse_zero_ideal():
         parse_ideal("0")
 
 
+def test_variable_count_below_one_is_rejected():
+    """A count below 1 is named before the text is read, not as a variable index."""
+    for nvars in (0, -2):
+        for parse, text in ((parse_ideal, "1"), (parse_ideal, "0"), (parse_monomial, "1"),
+                            (IdealExpression.parse, "x1")):
+            with pytest.raises(ValueError) as err:
+                parse(text, nvars)
+            assert not isinstance(err.value, ParseError)
+            assert str(err.value) == f"variable count must be at least 1, got {nvars}"
+
+
 def test_naming_mode_inference():
     assert naming_mode("x^2*y") == "letters"
     assert naming_mode("x1*x2") == "indexed"

@@ -293,6 +293,8 @@ def test_hilbert_matches_counting_random_non_principal():
         series = hilbert_series(ideal, w)
         assert series.terms is None
         assert series.expansion(20) == complement_counts(ideal, w, 20)
+        with pytest.raises(ValueError, match="no structured term form"):
+            series.expansion_from_terms(20)
 
 
 def _stanley_numerator(decomposition, w):

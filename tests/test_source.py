@@ -1,10 +1,14 @@
 """Static checks on the library source."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "wstable"
+import wstable
+
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "wstable"
 
 
 def _is_self_check(node):
@@ -46,3 +50,20 @@ def test_library_imports_the_standard_library_only():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_every_public_function_is_named_by_a_test():
+    """Each function in ``wstable.__all__`` occurs in a test outside an import.
+
+    An import binds aliases, not names or attributes, so only a use counts.
+    Classes are left out: their methods are used through their instances.
+    """
+    functions = {name for name in wstable.__all__ if inspect.isfunction(getattr(wstable, name))}
+    used = set()
+    for path in sorted(TESTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(functions - used) == []

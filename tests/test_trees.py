@@ -6,6 +6,7 @@ from wstable import (
     Monomial,
     WeightVector,
     format_monomial,
+    iter_tree_sinks,
     parse_ideal,
     parse_monomial,
     psi,
@@ -45,16 +46,27 @@ def test_tree_unit_monomial_is_lone_root():
     assert tree.vertices() == {Monomial.unit(2)}
 
 
+def _streamed_sinks(m, w, bound=None):
+    """The sinks from :func:`iter_tree_sinks`, each streamed once."""
+    sinks = list(iter_tree_sinks(m, w) if bound is None else iter_tree_sinks(m, w, bound))
+    assert len(sinks) == len(set(sinks))
+    return set(sinks)
+
+
 def test_tree_sinks_are_closure_generators():
     import random
 
     from oracles import random_monomial, random_weight_vector
     rng = random.Random(41)
+    bounds = random.Random(43)
     for _ in range(25):
         w = random_weight_vector(rng, 3)
         m = random_monomial(rng, 3, 2)
         tree = tree_from_monomial(m, w)
         assert tree.sinks() == w_closure([m], w).gens
+        assert _streamed_sinks(m, w) == tree.sinks()
+        bound = bounds.randint(0, weighted_degree(m, w) + 3)
+        assert _streamed_sinks(m, w, bound) == tree_from_monomial(m, w, bound).sinks()
         sinks = list(tree.sinks())
         for a in sinks:
             for b in sinks:
