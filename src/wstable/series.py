@@ -90,13 +90,15 @@ class StanleyDecomposition:
 
     def count_monomials(self, wdeg: int) -> int:
         """Number of complement monomials of the given weighted degree."""
-        total = 0
+        total, tables = 0, {}  # one count table to ``wdeg`` per free-weight tuple
         for coset, free in self.pieces:
             rem = wdeg - sum(map(mul, self.weights, coset.exponents))
             if rem < 0:
                 continue
             free_weights = tuple(sorted(self.weights[j - 1] for j in free))
-            total += _weighted_counts(free_weights, rem)[rem]
+            if free_weights not in tables:
+                tables[free_weights] = _weighted_counts(free_weights, wdeg)
+            total += tables[free_weights][rem]
         return total
 
 
@@ -154,10 +156,12 @@ class HilbertSeries:
         """Power-series coefficients computed from the structured terms."""
         if self.terms is None:
             raise ValueError("no structured term form is recorded")
-        coeffs = [0] * (bound + 1)
+        columns = {}  # the terms over one denominator share one expansion
         for c, s, k in self.terms:
-            tail = tuple(self.weights[k:])
-            piece = self._expand({s: c}, tail, bound)
+            columns.setdefault(k, Counter())[s] += c
+        coeffs = [0] * (bound + 1)
+        for k, numerator in columns.items():
+            piece = self._expand(numerator, tuple(self.weights[k:]), bound)
             for t in range(bound + 1):
                 coeffs[t] += piece[t]
         return coeffs
