@@ -35,6 +35,9 @@ class CatalanDiagram:
 
     def entry(self, a: int, b: int) -> int:
         """Entry at weighted degree ``a`` and 1-based column ``b``."""
+        if not (0 <= a < len(self.rows) and 1 <= b <= self.nvars):
+            raise IndexError(
+                f"entry ({a}, {b}) outside rows 0..{len(self.rows) - 1}, columns 1..{self.nvars}")
         return self.rows[a][b - 1]
 
     def row_sum(self, a: int) -> int:

@@ -59,7 +59,8 @@ def _close(bgens, w: WeightVector) -> set[tuple[int, ...]]:
     carrying the ``b`` with ``P(b)_i <= P(u)_i`` so far.  ``u_k`` starts at
     the first value that admits one.  The prefix ends as a generator once
     ``P_k`` reaches the least weighted degree admitted; below that, it goes
-    on to ``u_{k+1}`` with the admitted ``b`` only.
+    on to ``u_{k+1}`` with the admitted ``b`` only.  Any non-decreasing
+    vectors are accepted, not just prefix sums: the stop test needs no more.
     """
     weights = tuple(w)
     closed = set()

@@ -129,15 +129,19 @@ def _primitive(vec) -> tuple[int, ...]:
     return tuple(v // g for v in vec) if g else vec
 
 
-def _essential(halfspaces) -> list[tuple[int, ...]]:
+def _essential(halfspaces, nvars: int | None = None) -> list[tuple[int, ...]]:
     """The prefix sums ``A`` of the rows that neither ``d >= 0`` nor another row implies.
 
     A row is kept when some ``A_k`` is negative and ``A`` is minimal under
     componentwise ``<=`` among those rows: the shared filter
     :func:`~wstable.monomials._minimal_vectors`, in its (sum, vector) order.
-    Strictness is dropped.  :func:`cone_rays` gives the argument.
+    Strictness is dropped.  :func:`cone_rays` gives the argument.  Given
+    ``nvars``, a row of another length raises ``DimensionMismatch``.
     """
     rows = {tuple(accumulate(h.normal)) for h in halfspaces}
+    for s in rows:
+        if nvars is not None and len(s) != nvars:
+            raise DimensionMismatch(f"variable counts differ: {len(s)} vs {nvars}")
     return _minimal_vectors(s for s in rows if min(s) < 0)
 
 
@@ -165,7 +169,7 @@ def cone_rays(system: ConstraintSystem) -> Cone:
     n = system.nvars
     # ray -> bit set of the processed constraints it is tight on; bit p is d_p >= 0
     rays = {tuple(int(q == p) for q in range(n)): ((1 << n) - 1) ^ (1 << p) for p in range(n)}
-    for k, row in enumerate(_essential(system.halfspaces), start=n):
+    for k, row in enumerate(_essential(system.halfspaces, n), start=n):
         values = {r: sum(map(mul, row, r)) for r in rays}
         bit = 1 << k
         pos = [r for r in rays if values[r] > 0]

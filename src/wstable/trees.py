@@ -4,15 +4,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import index
 
+from .closure import _close
 from .ideals import MonomialIdeal
-from .monomials import (
-    Monomial,
-    WeightVector,
-    _branch_limits,
-    _check_nvars,
-    weighted_degree,
-)
+from .monomials import Monomial, WeightVector, _check_nvars, _prefix_sums, weighted_degree
 
 
 @dataclass(frozen=True)
@@ -82,58 +78,6 @@ class TruncationTree:
         return lines
 
 
-def _expand(exponents, weights, bound: int):
-    """Breadth-first ``(vertex, children)`` pairs of a truncation tree, on exponent tuples.
-
-    A vertex of weighted degree ``d < bound`` appends ``x_j`` for ``j`` from
-    its maximal index up to the seed's branching limit at ``d``
-    (:func:`~wstable.monomials._branch_limits`).  These limits grow with
-    ``d``, so every vertex below the bound has a child and the sinks are
-    the vertices at or above it.
-    """
-    weights = tuple(weights)
-    jmax = _branch_limits(exponents, weights, bound)
-    queue = deque([((0,) * len(exponents), 0, 1)])  # vertex, weighted degree, max index
-    while queue:
-        v, dv, lo = queue.popleft()
-        kids = []
-        if dv < bound:
-            for j in range(lo, jmax[dv] + 1):
-                child = v[:j - 1] + (v[j - 1] + 1,) + v[j:]
-                kids.append(child)
-                queue.append((child, dv + weights[j - 1], j))
-        yield v, kids
-
-
-def tree_from_monomial(m: Monomial, w: WeightVector, bound: int | None = None) -> TruncationTree:
-    """The branching tree of the principal weighted closure of ``m``.
-
-    Starting at the unit monomial, a vertex ``v`` below the weighted-degree
-    bound branches to ``v * x_j`` for every ``j`` from ``max_index(v)`` up
-    to the maximal index of the appropriate truncation of the substituted
-    image of ``m``.  With the default bound (the weighted degree of ``m``)
-    the sinks are exactly the minimal generators of the closure.
-    """
-    _check_nvars(m, w)
-    if bound is None:
-        bound = weighted_degree(m, w)
-    edges = set()
-    for v, kids in _expand(m.exponents, w, bound):
-        parent = Monomial._of(v)
-        edges.update((parent, Monomial._of(c)) for c in kids)
-    return TruncationTree(Monomial.unit(m.nvars), frozenset(edges), bound)
-
-
-def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
-    """Stream the sinks of :func:`tree_from_monomial` without storing edges."""
-    _check_nvars(m, w)
-    if bound is None:
-        bound = weighted_degree(m, w)
-    for v, kids in _expand(m.exponents, w, bound):
-        if not kids:
-            yield Monomial._of(v)
-
-
 def _prefix_walk(gens) -> dict:
     """Map each proper factored prefix of the exponent vectors to the indices appended to it.
 
@@ -155,6 +99,54 @@ def _prefix_walk(gens) -> dict:
     return nexts
 
 
+def _prefix_tree(nvars: int, sinks, bound: int | None) -> TruncationTree:
+    """The tree of factored-form prefixes of the exponent vectors ``sinks``."""
+    edges = frozenset((Monomial._of(v), Monomial._of(v[:j - 1] + (v[j - 1] + 1,) + v[j:]))
+                      for v, nexts in _prefix_walk(sinks).items() for j in nexts)
+    return TruncationTree(Monomial.unit(nvars), edges, bound)
+
+
+def _truncation_sinks(m: Monomial, w: WeightVector, bound) -> tuple[int, set]:
+    """The checked bound and the sinks, as exponent tuples, of the truncation tree of ``m``.
+
+    With ``P`` the weighted prefix sums of ``m`` and ``q`` its maximal index,
+    a vertex of weighted degree ``d < bound`` branches up to the least ``k``
+    with ``P_k > d``, capped at ``q``.  The sinks are the minimal generators
+    of ``P(u) >= Q`` for the clamped seed ``Q_k = min(P_k, bound)`` (``k <
+    q``), ``Q_k = bound`` (``k >= q``); ``Q = P`` at the default bound.
+    ``Q`` is non-decreasing, all the closure walk needs.  For ``d < bound``,
+    ``Q_k > d`` exactly when ``P_k > d`` (``k < q``), and ``Q_q = bound >
+    d``, so the least such ``k`` is the cap: the walk of ``P(u) >= Q``
+    branches like the tree.  Every vertex below the bound has a child, so
+    the tree is the prefix tree of its sinks.
+    """
+    _check_nvars(m, w)
+    bound = weighted_degree(m, w) if bound is None else index(bound)
+    prefix = _prefix_sums(m.exponents, w)
+    q = max((k for k, e in enumerate(m.exponents, start=1) if e), default=1)
+    seed = tuple(min(p, bound) for p in prefix[:q - 1]) + (bound,) * (len(prefix) - q + 1)
+    return bound, _close([seed], w)
+
+
+def tree_from_monomial(m: Monomial, w: WeightVector, bound: int | None = None) -> TruncationTree:
+    """The branching tree of the principal weighted closure of ``m``.
+
+    Starting at the unit monomial, a vertex ``v`` below the weighted-degree
+    bound branches to ``v * x_j`` for every ``j`` from ``max_index(v)`` up
+    to the maximal index of the appropriate truncation of the substituted
+    image of ``m``.  With the default bound (the weighted degree of ``m``)
+    the sinks are exactly the minimal generators of the closure.
+    """
+    bound, sinks = _truncation_sinks(m, w, bound)
+    return _prefix_tree(m.nvars, sinks, bound)
+
+
+def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
+    """Stream :func:`tree_from_monomial`'s sinks breadth first: by degree, exponents descending."""
+    bound, sinks = _truncation_sinks(m, w, bound)
+    yield from map(Monomial._of, sorted(sorted(sinks, reverse=True), key=sum))
+
+
 def tree_from_ideal(ideal: MonomialIdeal) -> TruncationTree:
     """The tree of factored-form prefixes of the minimal generators of ``ideal``.
 
@@ -164,8 +156,4 @@ def tree_from_ideal(ideal: MonomialIdeal) -> TruncationTree:
     ``v`` covers ``v`` times the monomials in those ``x_j``, ``j >=
     max_index(v)``, that have no edge from ``v`` (Eliahou-Kervaire).
     """
-    edges = set()
-    for v, nexts in _prefix_walk(g.exponents for g in ideal.gens).items():
-        parent = Monomial._of(v)
-        edges.update((parent, parent.times_variable(j)) for j in nexts)
-    return TruncationTree(Monomial.unit(ideal.nvars), frozenset(edges), None)
+    return _prefix_tree(ideal.nvars, (g.exponents for g in ideal.gens), None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 from operator import le
@@ -130,6 +131,30 @@ def w_closure_oracle(gens, w: WeightVector) -> MonomialIdeal:
     reached = _move_fixpoint(_psi(g.exponents, w) for g in gens)
     pulled = {tuple(-(-r // wi) for r, wi in zip(v, w)) for v in reached}
     return _ideal(w.nvars, pulled)
+
+
+def truncation_tree_bfs(exponents, weights, bound: int):
+    """Breadth-first ``(vertex, children)`` pairs of a seed's truncation tree, on exponent tuples.
+
+    A vertex of weighted degree ``d < bound`` appends ``x_j`` for ``j`` from
+    its maximal index up to the seed's branching limit at ``d``: the least
+    ``k`` whose weighted prefix sum exceeds ``d``, capped at the seed's
+    maximal index (1 for the unit seed).  Children come in ``j`` order.
+    """
+    prefix = list(itertools.accumulate(wi * e for wi, e in zip(weights, exponents)))
+    top = max((k for k, e in enumerate(exponents, start=1) if e), default=1)
+    limits = [min([k for k, p in enumerate(prefix, start=1) if p > d] + [top])
+              for d in range(bound)]
+    queue = deque([((0,) * len(exponents), 0, 1)])  # vertex, weighted degree, max index
+    while queue:
+        v, dv, lo = queue.popleft()
+        kids = []
+        if dv < bound:
+            for j in range(lo, limits[dv] + 1):
+                child = v[:j - 1] + (v[j - 1] + 1,) + v[j:]
+                kids.append(child)
+                queue.append((child, dv + weights[j - 1], j))
+        yield v, kids
 
 
 def complement_counts(ideal: MonomialIdeal, w: WeightVector, bound: int):

@@ -1,6 +1,7 @@
 """Weighted Catalan diagrams."""
 
 import golden
+import pytest
 from oracles import principal_cases
 from timing import time_limit
 from wstable import (
@@ -38,6 +39,16 @@ def test_diagram_golden_321_deg7():
 def test_text_rendering():
     diagram = catalan_diagram(parse_monomial("x1*x2^3*x3^2"), golden.W321)
     assert "\n".join(diagram.text_lines()) == golden.CATALAN_TEXT_321_DEG11
+
+
+def test_entry_rejects_indices_outside_the_diagram():
+    diagram = catalan_diagram(parse_monomial("x1*x2^2"), WeightVector((2, 1)))
+    assert diagram.entry(0, 1) == 1
+    last = len(diagram.rows) - 1
+    assert diagram.entry(last, 2) == diagram.rows[last][1]
+    for a, b in [(1, 0), (-1, 1), (0, 3), (last + 1, 1)]:
+        with pytest.raises(IndexError, match=rf"rows 0\.\.{last}, columns 1\.\.2"):
+            diagram.entry(a, b)
 
 
 def test_generator_stats_golden():

@@ -281,6 +281,18 @@ def test_membership_rejects_a_vector_of_the_wrong_length(w):
             check(w)
 
 
+@pytest.mark.parametrize("normal", [(-1, 1, 0, 5), (1, -1), (2, 0, 0, 0)])
+def test_rays_reject_a_normal_of_the_wrong_length(normal):
+    """As membership does, even for a row that ``d >= 0`` implies."""
+    system = ConstraintSystem(3, (HalfSpace((0, 1, -1)), HalfSpace(normal), HalfSpace(normal)),
+                              Monomial((1, 0, 0)))
+    with pytest.raises(DimensionMismatch, match="variable counts differ"):
+        system.open_region_contains((3, 2, 1))
+    for check in (cone_rays, open_region_is_empty):
+        with pytest.raises(DimensionMismatch, match="variable counts differ"):
+            check(system)
+
+
 def _brute_force_rays(system):
     """Extreme rays by kernel enumeration over constraint subsets.
 

@@ -70,3 +70,36 @@ def test_every_public_function_is_called_by_a_test():
                 elif isinstance(node.func, ast.Attribute):
                     called.add(node.func.attr)
     assert sorted(functions - called) == []
+
+
+def test_every_private_helper_is_used():
+    """Each module-level ``_name`` function is referenced outside its own ``def``.
+
+    A reference is a ``Name`` bound to the helper, in its own module or in
+    one that imports it from there, or an ``Attribute`` ``module._name``.
+    An import alone is not one, and neither is a method of the same name.
+    """
+    modules = {path.stem: ast.parse(path.read_text(), str(path))
+               for path in sorted(SOURCE.glob("*.py"))}
+    helpers = {(stem, node.name) for stem, module in modules.items() for node in module.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    used = set()
+    for stem, module in modules.items():
+        scope = {name: (home, name) for home, name in helpers if home == stem}
+        for node in ast.walk(module):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                scope.update((alias.asname or alias.name, (node.module, alias.name))
+                             for alias in node.names)
+        for node in module.body:
+            own = (stem, node.name) if isinstance(node, ast.FunctionDef) else None
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.Name) and inner.id in scope:
+                    ref = scope[inner.id]
+                elif isinstance(inner, ast.Attribute) and isinstance(inner.value, ast.Name):
+                    ref = (inner.value.id, inner.attr)
+                else:
+                    continue
+                if ref != own:
+                    used.add(ref)
+    assert helpers
+    assert sorted(helpers - used) == []

@@ -1,7 +1,12 @@
 """Truncation trees and generator trees."""
 
+from datetime import timedelta
+
 import golden
-from oracles import all_monomials, borel_closure_by_moves
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import all_monomials, borel_closure_by_moves, truncation_tree_bfs
 from wstable import (
     Monomial,
     WeightVector,
@@ -72,6 +77,48 @@ def test_tree_sinks_are_closure_generators():
             for b in sinks:
                 if a != b:
                     assert not a.divides(b)
+
+
+@st.composite
+def bounded_seeds(draw):
+    """A seed, a weight vector and a bound: n <= 5, weights <= 5, exponents <= 3.
+
+    The bound runs from -3 to ``d + max(w) + 1`` for ``d`` the seed's
+    weighted degree, or is left to its default.
+    """
+    n = draw(st.integers(1, 5))
+    weights = tuple(sorted(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)),
+                           reverse=True))
+    exponents = draw(st.tuples(*[st.integers(0, 3)] * n))
+    d = sum(map(int.__mul__, weights, exponents))
+    bound = draw(st.none() | st.integers(-3, d + weights[0] + 1))
+    return Monomial(exponents), WeightVector(weights), bound
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=timedelta(seconds=5))
+@given(bounded_seeds())
+def test_tree_matches_breadth_first_oracle(case):
+    """Edges, adjacency lines, bound and sink order agree with a breadth-first walk."""
+    m, w, bound = case
+    cap = weighted_degree(m, w) if bound is None else bound
+    walk = list(truncation_tree_bfs(m.exponents, tuple(w), cap))
+    tree = tree_from_monomial(m, w, bound)
+    assert tree.edges == {(Monomial(v), Monomial(c)) for v, kids in walk for c in kids}
+    fmt = format_monomial
+    assert tree.adjacency_lines() == [
+        f"{fmt(Monomial(v))}: {' '.join(fmt(Monomial(c)) for c in kids)}".rstrip()
+        for v, kids in walk]
+    assert tree.degree_bound == cap
+    assert [s.exponents for s in iter_tree_sinks(m, w, bound)] == [v for v, kids in walk if not kids]
+
+
+@pytest.mark.parametrize("bound", [2.5, "3"])
+def test_tree_bound_must_be_an_integer(bound):
+    m, w = parse_monomial("x1*x2^2", 2), WeightVector((2, 1))
+    with pytest.raises(TypeError):
+        tree_from_monomial(m, w, bound)
+    with pytest.raises(TypeError):
+        list(iter_tree_sinks(m, w, bound))
 
 
 def test_tree_vertices_match_truncation_ideals():
