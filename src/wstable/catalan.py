@@ -41,6 +41,8 @@ class CatalanDiagram:
         return self.rows[a][b - 1]
 
     def row_sum(self, a: int) -> int:
+        if not 0 <= a < len(self.rows):
+            raise IndexError(f"row {a} outside rows 0..{len(self.rows) - 1}")
         return sum(self.rows[a])
 
     def text_lines(self) -> list[str]:

@@ -129,18 +129,18 @@ def _primitive(vec) -> tuple[int, ...]:
     return tuple(v // g for v in vec) if g else vec
 
 
-def _essential(halfspaces, nvars: int | None = None) -> list[tuple[int, ...]]:
+def _essential(halfspaces, nvars: int) -> list[tuple[int, ...]]:
     """The prefix sums ``A`` of the rows that neither ``d >= 0`` nor another row implies.
 
     A row is kept when some ``A_k`` is negative and ``A`` is minimal under
     componentwise ``<=`` among those rows: the shared filter
     :func:`~wstable.monomials._minimal_vectors`, in its (sum, vector) order.
-    Strictness is dropped.  :func:`cone_rays` gives the argument.  Given
-    ``nvars``, a row of another length raises ``DimensionMismatch``.
+    Strictness is dropped.  :func:`cone_rays` gives the argument.  A row
+    whose length is not ``nvars`` raises ``DimensionMismatch``.
     """
     rows = {tuple(accumulate(h.normal)) for h in halfspaces}
     for s in rows:
-        if nvars is not None and len(s) != nvars:
+        if len(s) != nvars:
             raise DimensionMismatch(f"variable counts differ: {len(s)} vs {nvars}")
     return _minimal_vectors(s for s in rows if min(s) < 0)
 

@@ -220,8 +220,7 @@ def _branch_limits(exponents, weights, bound: int) -> list[int]:
 
     The least ``k`` with ``P_k > d`` for the seed's weighted prefix sums, or
     its maximal index once ``d`` reaches its weighted degree: the maximal
-    index of the (d+1)-factor truncation of its substituted image.  Only
-    :func:`~wstable.catalan.catalan_diagram` and the Hilbert terms call it.
+    index of the (d+1)-factor truncation of its substituted image.
     """
     prefix = _prefix_sums(exponents, weights)
     top = max((i for i, e in enumerate(exponents, start=1) if e), default=1)

@@ -71,11 +71,8 @@ class TruncationTree:
         if fmt is None:
             from .parsing import format_monomial
             fmt = format_monomial
-        lines = []
-        for v in self.bfs_vertices():
-            kids = " ".join(fmt(c) for c in self._children[v])
-            lines.append(f"{fmt(v)}: {kids}".rstrip())
-        return lines
+        return [f"{fmt(v)}: {' '.join(map(fmt, self._children[v]))}".rstrip()
+                for v in self.bfs_vertices()]
 
 
 def _prefix_walk(gens) -> dict:
@@ -142,7 +139,10 @@ def tree_from_monomial(m: Monomial, w: WeightVector, bound: int | None = None) -
 
 
 def iter_tree_sinks(m: Monomial, w: WeightVector, bound: int | None = None):
-    """Stream :func:`tree_from_monomial`'s sinks breadth first: by degree, exponents descending."""
+    """Yield the sorted sink set of :func:`_truncation_sinks`: by degree, exponents descending.
+
+    A generator only so that perfbench's tracer counts ``trees.sinks`` in its generator branch.
+    """
     bound, sinks = _truncation_sinks(m, w, bound)
     yield from map(Monomial._of, sorted(sorted(sinks, reverse=True), key=sum))
 

@@ -49,6 +49,10 @@ def test_entry_rejects_indices_outside_the_diagram():
     for a, b in [(1, 0), (-1, 1), (0, 3), (last + 1, 1)]:
         with pytest.raises(IndexError, match=rf"rows 0\.\.{last}, columns 1\.\.2"):
             diagram.entry(a, b)
+    assert diagram.row_sum(last) == sum(diagram.rows[last])
+    for a in (-1, last + 1):
+        with pytest.raises(IndexError, match=rf"row {a} outside rows 0\.\.{last}"):
+            diagram.row_sum(a)
 
 
 def test_generator_stats_golden():

@@ -250,7 +250,7 @@ def test_prefilter_keeps_one_row_of_a_high_power(d, rows):
     """The standard closure of ``x6^d``: one essential row, and the same six rays."""
     system = constraint_system(w_closure([Monomial((0,) * 5 + (d,))], WeightVector.ones(6)))
     assert len(system.halfspaces) == rows
-    assert len(_essential(system.halfspaces)) == 1
+    assert len(_essential(system.halfspaces, system.nvars)) == 1
     assert cone_rays(system).rays == tuple(
         (d,) * k + (d - 1,) * (6 - k) for k in range(5, 0, -1)) + ((1,) * 6,)
 
