@@ -5,108 +5,48 @@ Borel moves: closures and weighted Borel generators, truncation trees,
 weighted Catalan diagrams, Stanley decompositions, Hilbert and Poincare
 series, Betti numbers, and the cone of weight vectors realizing a strongly
 stable ideal as a principal closure.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first use (PEP 562), so ``wstable <cmd>``
+pays only for the modules its subcommand needs.  ``from wstable import *``
+loads them all.
 """
 
-from .catalan import CatalanDiagram, catalan_diagram, generator_stats
-from .closure import (
-    NotWStableError,
-    is_w_stable,
-    trunc_ideal,
-    w_borel_gens,
-    w_closure,
-)
-from .cone import (
-    Cone,
-    ConstraintSystem,
-    HalfSpace,
-    cone_rays,
-    constraint_system,
-    open_region_is_empty,
-    principal_weight_vector,
-)
-from .ideals import MonomialIdeal, minimalize
-from .monomials import (
-    DimensionMismatch,
-    Monomial,
-    WeightVector,
-    factored_indices,
-    max_index,
-    meet_w,
-    psi,
-    psi_inverse,
-    truncate,
-    w_borel_below,
-    weighted_degree,
-)
-from .parsing import (
-    IdealExpression,
-    ParseError,
-    format_ideal,
-    format_monomial,
-    parse_ideal,
-    parse_monomial,
-    parse_weights,
-)
-from .series import (
-    HilbertSeries,
-    PoincarePolynomial,
-    StanleyDecomposition,
-    betti_numbers,
-    format_betti_table,
-    hilbert_series,
-    poincare_series,
-    stanley_decomposition,
-)
-from .trees import TruncationTree, iter_tree_sinks, tree_from_ideal, tree_from_monomial
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CatalanDiagram",
-    "Cone",
-    "ConstraintSystem",
-    "DimensionMismatch",
-    "HalfSpace",
-    "HilbertSeries",
-    "IdealExpression",
-    "Monomial",
-    "MonomialIdeal",
-    "NotWStableError",
-    "ParseError",
-    "PoincarePolynomial",
-    "StanleyDecomposition",
-    "TruncationTree",
-    "WeightVector",
-    "betti_numbers",
-    "catalan_diagram",
-    "cone_rays",
-    "constraint_system",
-    "factored_indices",
-    "format_betti_table",
-    "format_ideal",
-    "format_monomial",
-    "generator_stats",
-    "hilbert_series",
-    "is_w_stable",
-    "iter_tree_sinks",
-    "max_index",
-    "meet_w",
-    "minimalize",
-    "open_region_is_empty",
-    "parse_ideal",
-    "parse_monomial",
-    "parse_weights",
-    "poincare_series",
-    "principal_weight_vector",
-    "psi",
-    "psi_inverse",
-    "stanley_decomposition",
-    "trunc_ideal",
-    "tree_from_ideal",
-    "tree_from_monomial",
-    "truncate",
-    "w_borel_below",
-    "w_borel_gens",
-    "w_closure",
-    "weighted_degree",
-]
+# home module -> the public names it defines
+_EXPORTS = {
+    "catalan": ("CatalanDiagram", "catalan_diagram", "generator_stats"),
+    "closure": ("NotWStableError", "is_w_stable", "trunc_ideal", "w_borel_gens", "w_closure"),
+    "cone": ("Cone", "ConstraintSystem", "HalfSpace", "cone_rays", "constraint_system",
+             "open_region_is_empty", "principal_weight_vector"),
+    "ideals": ("MonomialIdeal", "minimalize"),
+    "monomials": ("DimensionMismatch", "Monomial", "WeightVector", "factored_indices",
+                  "max_index", "meet_w", "psi", "psi_inverse", "truncate", "w_borel_below",
+                  "weighted_degree"),
+    "parsing": ("IdealExpression", "ParseError", "format_ideal", "format_monomial",
+                "parse_ideal", "parse_monomial", "parse_weights"),
+    "series": ("HilbertSeries", "PoincarePolynomial", "StanleyDecomposition", "betti_numbers",
+               "format_betti_table", "hilbert_series", "poincare_series",
+               "stanley_decomposition"),
+    "trees": ("TruncationTree", "iter_tree_sinks", "tree_from_ideal", "tree_from_monomial"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule, which its import binds here
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

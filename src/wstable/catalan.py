@@ -2,19 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .monomials import (
     Monomial,
     WeightVector,
     _branch_limits,
+    _Frozen,
     _check_nvars,
     weighted_degree,
 )
 
 
-@dataclass(frozen=True)
-class CatalanDiagram:
+class CatalanDiagram(_Frozen):
     """Integer matrix counting truncation-tree data of a principal closure.
 
     Row ``a`` runs over weighted degrees 0 .. d + max(w) - 1 where ``d`` is
@@ -24,10 +22,27 @@ class CatalanDiagram:
     closure by degree and maximal index.
     """
 
-    monomial: Monomial
-    weights: WeightVector
-    degree: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("monomial", "weights", "degree", "rows")
+
+    def __init__(self, monomial: Monomial, weights: WeightVector, degree: int,
+                 rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.monomial, self.weights, self.degree, self.rows)
+                    == (other.monomial, other.weights, other.degree, other.rows))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.monomial, self.weights, self.degree, self.rows))
+
+    def __repr__(self):
+        return (f"CatalanDiagram(monomial={self.monomial!r}, weights={self.weights!r}, "
+                f"degree={self.degree!r}, rows={self.rows!r})")
 
     @property
     def nvars(self) -> int:

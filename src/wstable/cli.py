@@ -8,22 +8,10 @@ decision command reports a negative outcome.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .catalan import catalan_diagram, generator_stats
-from .closure import NotWStableError, is_w_stable, w_borel_gens, w_closure
-from .cone import cone_rays, constraint_system, principal_weight_vector
 from .monomials import WeightVector
 from .parsing import _parse, format_ideal, format_monomial, parse_weights, variable_name
-from .series import (
-    betti_numbers,
-    format_betti_table,
-    hilbert_series,
-    poincare_series,
-    stanley_decomposition,
-)
-from .trees import tree_from_ideal, tree_from_monomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,103 +96,117 @@ def main(argv=None) -> int:
         return int(err.code or 0)
     try:
         text, monomial, ideal, weights, letters = _resolve_inputs(args)
-        payload, lines, exit_code = _dispatch(
-            args.command, monomial, ideal, weights, letters, args.expand_to)
+        output, exit_code = _dispatch(args.command, monomial, ideal, weights, letters,
+                                      args.expand_to, args.as_json)
     except (_UsageError, ValueError) as err:
+        from .closure import NotWStableError
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONTRACT if isinstance(err, NotWStableError) else EXIT_USAGE
     if args.as_json:
+        import json
         document = {"command": args.command, "input": text,
-                    "weights": list(weights), "result": payload}
+                    "weights": list(weights), "result": output}
         print(json.dumps(document))
     else:
-        for line in lines:
+        for line in output:
             print(line)
     return exit_code
 
 
-def _dispatch(command, monomial, ideal, weights, letters, expand_to):
-    """Run one subcommand; returns (json payload, text lines, exit code)."""
+def _dispatch(command, monomial, ideal, weights, letters, expand_to, as_json):
+    """Run one subcommand; returns its output and exit code.
+
+    The output is the JSON payload if ``as_json``, else the text lines.
+    Each subcommand imports the modules it uses and builds only that output.
+    """
     fmt = lambda m: format_monomial(m, letters)
 
     if command == "closure":
+        from .closure import w_closure
         closed = w_closure(ideal, weights)
-        return ({"generators": [fmt(g) for g in closed.sorted_gens()],
-                 "nvars": closed.nvars},
-                [format_ideal(closed, letters)], EXIT_OK)
+        return ({"generators": [fmt(g) for g in closed.sorted_gens()], "nvars": closed.nvars}
+                if as_json else [format_ideal(closed, letters)]), EXIT_OK
 
     if command == "bgens":
+        from .closure import w_borel_gens
         gens = sorted(w_borel_gens(ideal, weights),
                       key=lambda m: (m.degree(), m.exponents), reverse=True)
-        return ({"generators": [fmt(g) for g in gens]},
-                [", ".join(fmt(g) for g in gens)], EXIT_OK)
+        texts = [fmt(g) for g in gens]
+        return ({"generators": texts} if as_json else [", ".join(texts)]), EXIT_OK
 
     if command == "is-wstable":
+        from .closure import is_w_stable
         stable = is_w_stable(ideal, weights)
-        return ({"stable": stable}, ["true" if stable else "false"],
+        return (({"stable": stable} if as_json else ["true" if stable else "false"]),
                 EXIT_OK if stable else EXIT_NEGATIVE)
 
-    if command == "tree":
-        tree = tree_from_monomial(monomial, weights)
-        return (_tree_payload(tree, fmt), tree.adjacency_lines(fmt), EXIT_OK)
-
-    if command == "tree-ideal":
-        tree = tree_from_ideal(ideal)
-        return (_tree_payload(tree, fmt), tree.adjacency_lines(fmt), EXIT_OK)
+    if command in ("tree", "tree-ideal"):
+        from .trees import tree_from_ideal, tree_from_monomial
+        tree = (tree_from_monomial(monomial, weights) if command == "tree"
+                else tree_from_ideal(ideal))
+        return (_tree_payload(tree, fmt) if as_json else tree.adjacency_lines(fmt)), EXIT_OK
 
     if command == "catalan":
+        from .catalan import catalan_diagram, generator_stats
         diagram = catalan_diagram(monomial, weights)
-        payload = {"rows": [list(r) for r in diagram.rows],
-                   "weighted_degree": diagram.degree,
-                   "generator_stats": [list(t) for t in generator_stats(diagram)]}
-        return payload, diagram.text_lines(), EXIT_OK
+        return ({"rows": [list(r) for r in diagram.rows],
+                 "weighted_degree": diagram.degree,
+                 "generator_stats": [list(t) for t in generator_stats(diagram)]}
+                if as_json else diagram.text_lines()), EXIT_OK
 
     if command == "hilbert":
+        from .series import hilbert_series
         series = hilbert_series(ideal, weights)
+        coeffs = None if expand_to is None else series.expansion(expand_to)
+        if not as_json:
+            lines = [series.text()]
+            if coeffs is not None:
+                lines.append("series: " + " ".join(str(c) for c in coeffs))
+            return lines, EXIT_OK
         payload = {"numerator": _poly_payload(series.numerator),
                    "denominator_weights": list(weights),
                    "terms": None if series.terms is None
                    else [list(t) for t in series.terms]}
-        lines = [series.text()]
-        if expand_to is not None:
-            coeffs = series.expansion(expand_to)
+        if coeffs is not None:
             payload["expansion"] = coeffs
-            lines.append("series: " + " ".join(str(c) for c in coeffs))
-        return payload, lines, EXIT_OK
+        return payload, EXIT_OK
 
     if command == "stanley":
-        decomposition = stanley_decomposition(ideal, weights)
-        pieces = [{"coset": fmt(coset), "free": sorted(free)}
-                  for coset, free in decomposition.pieces]
-        lines = [
-            f"{fmt(coset)} * K[{', '.join(variable_name(j, letters) for j in sorted(free))}]"
-            for coset, free in decomposition.pieces]
-        return {"pieces": pieces}, lines, EXIT_OK
+        from .series import stanley_decomposition
+        pieces = stanley_decomposition(ideal, weights).pieces
+        if as_json:
+            return {"pieces": [{"coset": fmt(coset), "free": sorted(free)}
+                               for coset, free in pieces]}, EXIT_OK
+        return [f"{fmt(coset)} * K[{', '.join(variable_name(j, letters) for j in sorted(free))}]"
+                for coset, free in pieces], EXIT_OK
 
     if command == "poincare":
+        from .series import poincare_series
         series = poincare_series(ideal, weights)
-        payload = {"terms": [list(t) for t in series.sorted_terms()]}
-        return payload, [series.text()], EXIT_OK
+        return ({"terms": [list(t) for t in series.sorted_terms()]}
+                if as_json else [series.text()]), EXIT_OK
 
     if command == "betti":
+        from .series import betti_numbers, format_betti_table
         totals, graded = betti_numbers(ideal, weights)
-        payload = {"total": list(totals),
-                   "graded": [list(t) for t in graded.sorted_terms()]}
-        return payload, format_betti_table(graded, ideal.nvars).splitlines(), EXIT_OK
+        return ({"total": list(totals), "graded": [list(t) for t in graded.sorted_terms()]}
+                if as_json else format_betti_table(graded, ideal.nvars).splitlines()), EXIT_OK
 
     if command == "cone":
+        from .cone import cone_rays, constraint_system
         cone = cone_rays(constraint_system(ideal))
-        payload = {"rays": [list(r) for r in cone.rays],
-                   "lineality": [list(r) for r in cone.lineality]}
-        return payload, [" ".join(str(c) for c in ray) for ray in cone.rays], EXIT_OK
+        return ({"rays": [list(r) for r in cone.rays],
+                 "lineality": [list(r) for r in cone.lineality]}
+                if as_json else [" ".join(str(c) for c in ray) for ray in cone.rays]), EXIT_OK
 
     if command == "weight-vector":
+        from .cone import principal_weight_vector
         found = principal_weight_vector(ideal)
         if found is None:
-            return ({"outcome": "not principally w-stable"},
-                    ["not principally w-stable"], EXIT_NEGATIVE)
-        return ({"weights": list(found)},
-                [",".join(str(w) for w in found)], EXIT_OK)
+            return ({"outcome": "not principally w-stable"} if as_json
+                    else ["not principally w-stable"]), EXIT_NEGATIVE
+        return ({"weights": list(found)} if as_json
+                else [",".join(str(w) for w in found)]), EXIT_OK
 
     raise _UsageError(f"unknown command {command!r}")
 

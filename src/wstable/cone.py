@@ -2,23 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
 from operator import mul, sub
 
 from .closure import w_borel_gens, w_closure
 from .ideals import MonomialIdeal
-from .monomials import DimensionMismatch, Monomial, WeightVector, _minimal_vectors
+from .monomials import DimensionMismatch, Monomial, WeightVector, _Frozen, _minimal_vectors
 from .trees import _prefix_walk
 
 
-@dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_Frozen):
     """A homogeneous linear condition ``normal . w >= 0`` (``> 0`` if strict)."""
 
-    normal: tuple[int, ...]
-    strict: bool = False
+    __slots__ = ("normal", "strict")
+
+    def __init__(self, normal: tuple[int, ...], strict: bool = False):
+        object.__setattr__(self, "normal", normal)
+        object.__setattr__(self, "strict", strict)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.normal, self.strict) == (other.normal, other.strict)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.normal, self.strict))
+
+    def __repr__(self):
+        return f"HalfSpace(normal={self.normal!r}, strict={self.strict!r})"
 
     def value(self, w) -> int:
         if len(w) != len(self.normal):
@@ -30,8 +42,7 @@ class HalfSpace:
         return v >= 0 if (closed or not self.strict) else v > 0
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
+class ConstraintSystem(_Frozen):
     """Half-space description of the weight vectors realizing a principal closure.
 
     Contains the degree comparisons against sinks and subsinks of the
@@ -43,10 +54,27 @@ class ConstraintSystem:
     it, since :func:`constraint_system` never writes one.
     """
 
-    nvars: int
-    halfspaces: tuple[HalfSpace, ...]
-    candidate: Monomial
-    trivially_empty: bool = False
+    __slots__ = ("nvars", "halfspaces", "candidate", "trivially_empty")
+
+    def __init__(self, nvars: int, halfspaces: tuple[HalfSpace, ...], candidate: Monomial,
+                 trivially_empty: bool = False):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "halfspaces", halfspaces)
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "trivially_empty", trivially_empty)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.nvars, self.halfspaces, self.candidate, self.trivially_empty)
+                    == (other.nvars, other.halfspaces, other.candidate, other.trivially_empty))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars, self.halfspaces, self.candidate, self.trivially_empty))
+
+    def __repr__(self):
+        return (f"ConstraintSystem(nvars={self.nvars!r}, halfspaces={self.halfspaces!r}, "
+                f"candidate={self.candidate!r}, trivially_empty={self.trivially_empty!r})")
 
     def open_region_contains(self, w) -> bool:
         """Membership with strict constraints honored."""
@@ -59,12 +87,26 @@ class ConstraintSystem:
         return all(h.holds(w, closed=True) for h in self.halfspaces)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Frozen):
     """Extreme rays (primitive integer vectors) of a pointed rational cone."""
 
-    rays: tuple[tuple[int, ...], ...]
-    lineality: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("rays", "lineality")
+
+    def __init__(self, rays: tuple[tuple[int, ...], ...],
+                 lineality: tuple[tuple[int, ...], ...] = ()):
+        object.__setattr__(self, "rays", rays)
+        object.__setattr__(self, "lineality", lineality)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rays, self.lineality) == (other.rays, other.lineality)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rays, self.lineality))
+
+    def __repr__(self):
+        return f"Cone(rays={self.rays!r}, lineality={self.lineality!r})"
 
 
 def _parent(b):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from operator import add, le
 
-from .monomials import DimensionMismatch, Monomial, _minimal_vectors
+from .monomials import DimensionMismatch, Monomial, _Frozen, _minimal_vectors
 
 
 def minimalize(monomials) -> list[Monomial]:
@@ -23,7 +23,7 @@ def minimalize(monomials) -> list[Monomial]:
     return [Monomial._of(e) for e in _minimal_vectors(exponents)]
 
 
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """An ideal generated by monomials, stored minimalized.
 
     The zero ideal has no generators and the unit ideal is generated by the
@@ -50,9 +50,6 @@ class MonomialIdeal:
         object.__setattr__(ideal, "nvars", nvars)
         object.__setattr__(ideal, "gens", frozenset(gens))
         return ideal
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MonomialIdeal is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":

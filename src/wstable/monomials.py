@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, groupby
 from operator import index, itemgetter, le, mul, sub
 
@@ -12,8 +11,19 @@ class DimensionMismatch(ValueError):
     """Raised when monomials or weight vectors disagree on the variable count."""
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _Frozen:
+    """Base of the immutable value classes.
+
+    Each ``__init__`` fills its slots with ``object.__setattr__``; assignment raises.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Monomial(_Frozen):
     """A monomial in a fixed number of variables, stored as an exponent vector.
 
     ``exponents[i]`` holds the exponent of the (i+1)-st variable; variable
@@ -21,10 +31,10 @@ class Monomial:
     all-zero vector.  Instances are immutable and hashable.
     """
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        exps = tuple(map(index, self.exponents))
+    def __init__(self, exponents: tuple[int, ...]):
+        exps = tuple(map(index, exponents))
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
@@ -35,6 +45,14 @@ class Monomial:
         m = object.__new__(cls)
         object.__setattr__(m, "exponents", exponents)
         return m
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.exponents,))
 
     @classmethod
     def unit(cls, nvars: int) -> "Monomial":
@@ -91,14 +109,13 @@ class Monomial:
         return f"Monomial({self.exponents})"
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(_Frozen):
     """A monotone non-increasing tuple of positive integer variable degrees."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        ws = tuple(map(index, self.weights))
+    def __init__(self, weights: tuple[int, ...]):
+        ws = tuple(map(index, weights))
         if not ws:
             raise ValueError("weight vector must not be empty")
         if ws[-1] < 1:
@@ -106,6 +123,17 @@ class WeightVector:
         if any(ws[i] < ws[i + 1] for i in range(len(ws) - 1)):
             raise ValueError(f"weights must be non-increasing, got {ws}")
         object.__setattr__(self, "weights", ws)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.weights == other.weights
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.weights,))
+
+    def __repr__(self):
+        return f"WeightVector(weights={self.weights!r})"
 
     @classmethod
     def ones(cls, nvars: int) -> "WeightVector":

@@ -13,12 +13,11 @@ token at fault.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector
+from .monomials import Monomial, WeightVector, _Frozen
 
 LETTER_NAMES = ("x", "y", "z")
 
@@ -187,13 +186,28 @@ def variable_name(index: int, letters: bool = False) -> str:
     return LETTER_NAMES[index - 1] if letters else f"x{index}"
 
 
-@dataclass(frozen=True)
-class IdealExpression:
+class IdealExpression(_Frozen):
     """A parsed ideal together with its source text and naming scheme."""
 
-    source: str
-    ideal: MonomialIdeal
-    letters: bool
+    __slots__ = ("source", "ideal", "letters")
+
+    def __init__(self, source: str, ideal: MonomialIdeal, letters: bool):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.source, self.ideal, self.letters)
+                    == (other.source, other.ideal, other.letters))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source, self.ideal, self.letters))
+
+    def __repr__(self):
+        return (f"IdealExpression(source={self.source!r}, ideal={self.ideal!r}, "
+                f"letters={self.letters!r})")
 
     @classmethod
     def parse(cls, text: str, nvars: int | None = None) -> "IdealExpression":

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from operator import mul
 
 from .catalan import catalan_diagram
 from .closure import w_borel_gens
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, _branch_limits, max_index
+from .monomials import Monomial, WeightVector, _branch_limits, _Frozen, max_index
 from .trees import _prefix_walk
 
 
@@ -75,8 +74,7 @@ def _weighted_counts(weights: tuple[int, ...], bound: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Stanley decompositions
 
-@dataclass(frozen=True)
-class StanleyDecomposition:
+class StanleyDecomposition(_Frozen):
     """A disjoint cover of the monomials outside an ideal.
 
     Each piece is a coset monomial together with the set of 1-based
@@ -84,9 +82,26 @@ class StanleyDecomposition:
     complement of the ideal.
     """
 
-    nvars: int
-    weights: WeightVector
-    pieces: tuple[tuple[Monomial, frozenset[int]], ...]
+    __slots__ = ("nvars", "weights", "pieces")
+
+    def __init__(self, nvars: int, weights: WeightVector,
+                 pieces: tuple[tuple[Monomial, frozenset[int]], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "pieces", pieces)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.nvars, self.weights, self.pieces)
+                    == (other.nvars, other.weights, other.pieces))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.nvars, self.weights, self.pieces))
+
+    def __repr__(self):
+        return (f"StanleyDecomposition(nvars={self.nvars!r}, weights={self.weights!r}, "
+                f"pieces={self.pieces!r})")
 
     def count_monomials(self, wdeg: int) -> int:
         """Number of complement monomials of the given weighted degree."""
@@ -130,8 +145,7 @@ def stanley_decomposition(ideal: MonomialIdeal, w: WeightVector) -> StanleyDecom
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-@dataclass(frozen=True, eq=False)
-class HilbertSeries:
+class HilbertSeries(_Frozen):
     """Hilbert series of the quotient by a weighted-stable ideal.
 
     ``numerator`` is a sparse polynomial over the common denominator
@@ -140,9 +154,17 @@ class HilbertSeries:
     ``count * t^degree / prod_{j>column} (1 - t^{w_j})``.
     """
 
-    weights: WeightVector
-    numerator: dict
-    terms: tuple[tuple[int, int, int], ...] | None = None
+    __slots__ = ("weights", "numerator", "terms")
+
+    def __init__(self, weights: WeightVector, numerator: dict,
+                 terms: tuple[tuple[int, int, int], ...] | None = None):
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "terms", terms)
+
+    def __repr__(self):
+        return (f"HilbertSeries(weights={self.weights!r}, numerator={self.numerator!r}, "
+                f"terms={self.terms!r})")
 
     @property
     def nvars(self) -> int:
@@ -207,8 +229,7 @@ def hilbert_series(ideal: MonomialIdeal, w: WeightVector) -> HilbertSeries:
 # ---------------------------------------------------------------------------
 # Poincare series and Betti numbers
 
-@dataclass(frozen=True, eq=False)
-class PoincarePolynomial:
+class PoincarePolynomial(_Frozen):
     """Graded Betti numbers as a sparse bivariate polynomial.
 
     ``coefficients`` maps (homological index i, internal degree j) to
@@ -216,7 +237,13 @@ class PoincarePolynomial:
     ideal.
     """
 
-    coefficients: dict
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: dict):
+        object.__setattr__(self, "coefficients", coefficients)
+
+    def __repr__(self):
+        return f"PoincarePolynomial(coefficients={self.coefficients!r})"
 
     def beta(self, i: int, j: int) -> int:
         return self.coefficients.get((i, j), 0)

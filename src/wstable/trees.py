@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from operator import index
 
 from .closure import _close
 from .ideals import MonomialIdeal
-from .monomials import Monomial, WeightVector, _check_nvars, _prefix_sums, weighted_degree
+from .monomials import (
+    Monomial,
+    WeightVector,
+    _check_nvars,
+    _Frozen,
+    _prefix_sums,
+    weighted_degree,
+)
 
 
-@dataclass(frozen=True)
-class TruncationTree:
+class TruncationTree(_Frozen):
     """A rooted tree of monomials with edges that append one variable.
 
     Every non-root vertex has exactly one parent, and an edge from ``v``
@@ -22,19 +27,33 @@ class TruncationTree:
     trees of ideals, which are not degree-bounded).
     """
 
-    root: Monomial
-    edges: frozenset[tuple[Monomial, Monomial]]
-    degree_bound: int | None = None
-    _children: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("root", "edges", "degree_bound", "_children")
 
-    def __post_init__(self):
-        children: dict[Monomial, list[Monomial]] = {self.root: []}
-        for parent, child in self.edges:
+    def __init__(self, root: Monomial, edges: frozenset[tuple[Monomial, Monomial]],
+                 degree_bound: int | None = None):
+        children: dict[Monomial, list[Monomial]] = {root: []}
+        for parent, child in edges:
             children.setdefault(parent, []).append(child)
             children.setdefault(child, [])
         for kids in children.values():
             kids.sort(key=lambda m: m.exponents, reverse=True)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "degree_bound", degree_bound)
         object.__setattr__(self, "_children", children)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.root, self.edges, self.degree_bound)
+                    == (other.root, other.edges, other.degree_bound))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.root, self.edges, self.degree_bound))
+
+    def __repr__(self):
+        return (f"TruncationTree(root={self.root!r}, edges={self.edges!r}, "
+                f"degree_bound={self.degree_bound!r})")
 
     @property
     def nvars(self) -> int:

@@ -52,6 +52,25 @@ def test_library_imports_the_standard_library_only():
     assert found == []
 
 
+def test_library_does_not_import_dataclasses():
+    """The value classes are plain ``__slots__`` classes.
+
+    ``dataclasses`` pulls in ``inspect`` and ``ast``, which every start-up
+    of the command line would pay for.
+    """
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name == "dataclasses"]
+    assert found == []
+
+
 def test_every_public_function_is_called_by_a_test():
     """Each function in ``wstable.__all__`` is called in some ``test_*.py``.
 
@@ -78,11 +97,14 @@ def test_every_private_helper_is_used():
     A reference is a ``Name`` bound to the helper, in its own module or in
     one that imports it from there, or an ``Attribute`` ``module._name``.
     An import alone is not one, and neither is a method of the same name.
+    The module hooks ``__getattr__`` and ``__dir__`` (PEP 562) are exempt:
+    the interpreter calls them.
     """
     modules = {path.stem: ast.parse(path.read_text(), str(path))
                for path in sorted(SOURCE.glob("*.py"))}
     helpers = {(stem, node.name) for stem, module in modules.items() for node in module.body
-               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and node.name not in ("__getattr__", "__dir__")}
     used = set()
     for stem, module in modules.items():
         scope = {name: (home, name) for home, name in helpers if home == stem}
